@@ -43,77 +43,16 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench"
 
-WORKLOAD_NAMES = ("search-box-card", "search-eq-int", "root-bounds")
 SETUP_SAMPLES = 3   # set-ups timed in fresh interpreters
 
-# name -> (unit, better); the order is the output order
-END_TO_END = {
-    "setup_s": ("s", "lower"),
-    "op_s.p50": ("s", "lower"),
-    "op_s.tail": ("s", "lower"),
-}
+# BENCHMARK.json is the one list of workload and metric names and units
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOAD_NAMES = [w["name"] for w in SPEC["workloads"]]
 
-# name -> (unit, better); printed with --trace 1, in this order
-PER_LAYER = {
-    "separation.calls.smooth": ("count", "lower"),
-    "separation.calls.nonsmooth": ("count", "lower"),
-    "separation.s": ("s", "lower"),
-    "separation.steps": ("count", "lower"),
-    "separation.steps_per_s": ("1/s", "higher"),
-    "separation.restarts": ("count", "lower"),
-    "separation.status.max_iter": ("count", "lower"),
-    "separation.status.restart_limit": ("count", "lower"),
-    "qcqp.lin.calls": ("count", "lower"),
-    "qcqp.lin.s": ("s", "lower"),
-    "qcqp.lin.iters": ("count", "lower"),
-    "qcqp.lin.s_per_iter": ("s", "lower"),
-    "qcqp.quad.calls": ("count", "lower"),
-    "qcqp.quad.s": ("s", "lower"),
-    "qcqp.quad.iters": ("count", "lower"),
-    "qcqp.quad.s_per_iter": ("s", "lower"),
-    "qcqp.nonoptimal": ("count", "lower"),
-    "relax.reduce.calls": ("count", "lower"),
-    "relax.reduce.s": ("s", "lower"),
-    "relax.feas_lp.calls": ("count", "lower"),
-    "relax.feas_lp.s": ("s", "lower"),
-    "relax.node_qp.calls": ("count", "lower"),
-    "relax.node_qp.s": ("s", "lower"),
-    "relax.node_qp.failures": ("count", "lower"),
-    "relax.cut_loop.s": ("s", "lower"),
-    "relax.cuts_added": ("count", "higher"),
-    "relax.epigraph.calls": ("count", "lower"),
-    "relax.epigraph.failures": ("count", "lower"),
-    "relax.assemble.s": ("s", "lower"),
-    "relax.alpha.s": ("s", "lower"),
-    "bnb.nodes": ("count", "lower"),
-    "bnb.nodes_per_s": ("1/s", "higher"),
-    "bnb.peak_open": ("count", "lower"),
-    "bnb.nodes.infeasible": ("count", "lower"),
-    "bnb.nodes.folded": ("count", "higher"),
-    "bnb.nodes.convex": ("count", "higher"),
-    "bnb.nodes.uncertified": ("count", "lower"),
-    "bnb.branch.calls": ("count", "lower"),
-    "bnb.node_sep.useful_ratio": ("ratio", "higher"),
-    "bnb.incumbent_probes": ("count", "lower"),
-    "bnb.repair_lp.calls": ("count", "lower"),
-    "linalg.eig.calls": ("count", "lower"),
-    "linalg.eig.s": ("s", "lower"),
-    "model.load.s": ("s", "lower"),
-    "self_s.bnb": ("s", "lower"),
-    "self_s.relax": ("s", "lower"),
-    "self_s.separation": ("s", "lower"),
-    "self_s.qcqp": ("s", "lower"),
-    "self_s.linalg": ("s", "lower"),
-    "self_s.highs": ("s", "lower"),
-    "self_s.unattributed": ("s", "lower"),
-    "traced_wall_s": ("s", "lower"),
-    "trace_overhead_pct": ("%", "lower"),
-    "solved_frac": ("ratio", "higher"),
-    "final_gap.mean": ("ratio", "lower"),
-    "no_incumbent_frac": ("ratio", "lower"),
-    "root_lift_pct.smooth": ("%", "higher"),
-    "root_lift_pct.nonsmooth": ("%", "higher"),
-}
+
+def metric_units(key) -> dict:
+    """Name -> unit of the "end_to_end" or "per_layer" metrics, in order."""
+    return {m["name"]: m["unit"] for m in SPEC[key]}
 
 
 def parse_args(argv):
@@ -181,6 +120,7 @@ def environment(workload, seed, seconds) -> dict:
         "blas_threads": blas_threads(),
         "workload": workload.name,
         "node_budget": workload.node_limit,
+        "root_max_cuts": workload.max_nc,
         "seed": seed,
         "seconds": seconds,
     }
@@ -533,10 +473,10 @@ def run(args, run_id, workdir) -> int:
 
     if args.trace:
         metrics = per_layer_metrics(wl, workload, tracer, passes, setup_range)
-        units = {k: unit for k, (unit, _) in PER_LAYER.items()}
+        units = metric_units("per_layer")
     else:
         metrics = end_to_end_metrics(setup_samples, runner)
-        units = {k: unit for k, (unit, _) in END_TO_END.items()}
+        units = metric_units("end_to_end")
 
     tail, tail_pct = tail_stat(runner.samples)
     report = {

@@ -25,7 +25,7 @@ TINY_SEARCH = wl.Workload(
     (("eq_integer", 4, 1), ("boxqp", 6, 1), ("binary_card", 6, 1)),
     node_limit=25)
 TINY_ROOT = wl.Workload(
-    "tiny-root", "root", (("boxqp", 6, 1), ("eq_integer", 6, 1)))
+    "tiny-root", "root", (("boxqp", 6, 1), ("eq_integer", 6, 1)), max_nc=6)
 
 
 def make_runner(workload, tmp_path, tracer=None):
@@ -44,11 +44,12 @@ def test_every_metric_prints_with_unit(workload, tmp_path):
     runner = make_runner(workload, tmp_path)
     runner.measure(0)
     e2e = run.end_to_end_metrics([1.0, 2.0, 3.0], runner)
-    units = {k: u for k, (u, _) in run.END_TO_END.items()}
+    units = run.metric_units("end_to_end")
+    assert set(e2e) == set(units)
     out = final_json(run.result_lines(e2e, units, runner, 50, "r.json"))
     assert set(out) == {"correct", "attempted", "failed", "metrics"}
     assert out["correct"] and out["failed"] == 0
-    assert set(out["metrics"]) == set(run.END_TO_END)
+    assert set(out["metrics"]) == set(units)
     assert all(m["unit"] and math.isfinite(m["value"]) and m["value"] > 0
                for m in out["metrics"].values())
 
@@ -56,22 +57,12 @@ def test_every_metric_prints_with_unit(workload, tmp_path):
     traced = make_runner(workload, tmp_path / "t", tracer)
     passes, _ = traced.measure(0)
     layer = run.per_layer_metrics(wl, workload, tracer, passes, (0, 0))
-    units = {k: u for k, (u, _) in run.PER_LAYER.items()}
+    units = run.metric_units("per_layer")
+    assert set(layer) == set(units)
     out = final_json(run.result_lines(layer, units, traced, 50, "r.json"))
-    assert set(out["metrics"]) == set(run.PER_LAYER)
+    assert set(out["metrics"]) == set(units)
     assert all(m["unit"] and math.isfinite(m["value"])
                for m in out["metrics"].values())
-
-
-def test_benchmark_json_matches_the_runner():
-    spec = json.loads((HERE.parent / "BENCHMARK.json").read_text())
-    assert list(run.WORKLOAD_NAMES) == list(wl.WORKLOADS)
-    assert {w["name"]: w["why"] for w in spec["workloads"]} \
-        == {w.name: w.why for w in wl.WORKLOADS.values()}
-    for key, table in (("end_to_end", run.END_TO_END),
-                       ("per_layer", run.PER_LAYER)):
-        assert {m["name"]: (m["unit"], m["better"]) for m in spec[key]} \
-            == table
 
 
 def test_corrupted_result_counts_as_failed(tmp_path, monkeypatch):

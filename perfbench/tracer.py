@@ -163,8 +163,6 @@ class Tracer:
 
 def _after_solve(tracer, idx, rep, args):
     tracer.counts["bnb.nodes"] += rep.node_count
-    tracer.counts["bnb.peak_open"] = max(tracer.counts["bnb.peak_open"],
-                                         rep.max_stored)
 
 
 def _after_bound_node(tracer, idx, nb, args):

@@ -37,7 +37,6 @@ from quadrelax.relax import (
 )
 
 DENSITY = 0.8
-ROOT_MAX_NC = 6  # cut-loop cap of the root-bound set
 
 # Instances whose discrete enumeration is this small get the oracle check.
 ORACLE_CAP = 7 ** 6
@@ -49,32 +48,26 @@ class Workload:
     kind: str             # "search" or "root"
     strata: tuple         # ((family, n, count), ...)
     node_limit: int = 0   # search only; 0 for root-bound workloads
-    why: str = ""
+    max_nc: int = 20      # cap of the root cut loop
 
 
+# Each workload's purpose is its `why` in BENCHMARK.json.
 WORKLOADS = {w.name: w for w in (
     Workload(
         "search-box-card", "search",
-        (("boxqp", 14, 9), ("boxqp", 18, 9), ("binary_card", 18, 9),
-         ("binary_card", 22, 9)),
-        node_limit=6,
-        why="boxqp and binary_card searches, 6-node budget: few expensive "
-            "nodes, smooth separation takes most of the time, reduction LPs "
-            "are idle"),
+        (("boxqp", 12, 12), ("boxqp", 16, 12), ("binary_card", 16, 12),
+         ("binary_card", 20, 12)),
+        node_limit=10, max_nc=3),
     Workload(
         "search-eq-int", "search",
-        (("eq_integer", 5, 9), ("eq_integer", 8, 9), ("eq_integer", 10, 9)),
-        node_limit=80,
-        why="eq_integer searches, 80-node budget: many cheap nodes, IPM, "
-            "HiGHS feasibility LPs and node reduction dominate; most n=8 and "
-            "10 end without an incumbent"),
+        (("eq_integer", 5, 12), ("eq_integer", 8, 12),
+         ("eq_integer", 10, 12)),
+        node_limit=150, max_nc=3),
     Workload(
         "root-bounds", "root",
         (("boxqp", 20, 5), ("binary_card", 20, 5), ("eq_integer", 20, 5),
          ("boxqp", 30, 5), ("binary_card", 30, 5), ("eq_integer", 30, 5)),
-        why="root-bound sets (alpha, spectral bounds, smooth and nonsmooth "
-            "cut loops): the only nonsmooth separation and quadratic-row IPM "
-            "work; no nodes, few LPs"),
+        max_nc=6),
 )}
 
 # The warm-up solve pays HiGHS and LAPACK first-call costs before timing.
@@ -135,7 +128,8 @@ def setup(workload: Workload, seed: int, workdir: str) -> list:
 
 def search_op(case: Case, workload: Workload) -> dict:
     rep = bnb.solve(case.instance,
-                    bnb.BnbConfig(node_limit=workload.node_limit))
+                    bnb.BnbConfig(node_limit=workload.node_limit,
+                                  max_nc=workload.max_nc))
     return {"report": rep,
             "key": (rep.status, rep.node_count, rep.max_stored,
                     rep.lower_bound, rep.upper_bound, rep.root_bound)}
@@ -151,9 +145,9 @@ def root_op(case: Case, workload: Workload) -> dict:
         smooth = nonsmooth = eigns
         cuts = (0, 0)
     else:
-        rs = cutting_surface(inst, sel.alpha, max_cuts=ROOT_MAX_NC,
+        rs = cutting_surface(inst, sel.alpha, max_cuts=workload.max_nc,
                              mode="smooth")
-        rn = cutting_surface(inst, sel.alpha, max_cuts=ROOT_MAX_NC,
+        rn = cutting_surface(inst, sel.alpha, max_cuts=workload.max_nc,
                              mode="nonsmooth")
         smooth, nonsmooth = rs.bound, rn.bound
         cuts = (rs.cuts_added, rn.cuts_added)
