@@ -94,7 +94,6 @@ class Node:
     d: np.ndarray
     lb: float
     depth: int
-    best_below: np.ndarray | None = None
 
 
 @dataclass
@@ -369,6 +368,9 @@ def _update_incumbent(instance, sol, ubd, best_x):
 
 
 def _gap_tol(lbd: float, cfg: BnbConfig) -> float:
+    # an infinite lower bound (uncertified root) must not close the gap
+    if not np.isfinite(lbd):
+        return cfg.abs_tol
     return max(cfg.abs_tol, cfg.rel_tol * max(abs(lbd), 1e-3))
 
 
@@ -479,10 +481,7 @@ def solve(instance: MiqpInstance, config: BnbConfig | None = None) -> SolveRepor
             nodes += 1
             child.lb = max(nb.lb, node.lb)  # parent bound is valid here too
             child.d = nb.d_pass
-            before = ubd
             ubd, best_x = _update_incumbent(instance, nb.solution, ubd, best_x)
-            if ubd < before:
-                child.best_below = best_x
             if child.lb >= ubd - cfg.abs_tol:
                 continue
             opened.append((child, nb.solution))

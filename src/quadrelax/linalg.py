@@ -139,22 +139,30 @@ class InverseState:
     """Tracked inverse V of a positive definite matrix M.
 
     ``sherman_morrison_update`` applies rank-one diagonal modifications
-    M <- M + delta e_i e_i^T cheaply to V while keeping M itself exact.
-    Every n updates the product M @ V is checked against the identity and V
-    is refactored from M if the accumulated drift exceeds tolerance.
+    M <- M + delta e_i e_i^T cheaply to V, in place, while keeping M itself
+    exact.  Every n updates the product M @ V is checked against the
+    identity and V is refactored from M if the accumulated drift exceeds
+    tolerance.  ``diag`` is a read-only view of V's diagonal, so it carries
+    every update bit for bit at no cost; it is re-bound when a refactor
+    replaces V.
     """
 
     M: np.ndarray
     V: np.ndarray
     update_count: int = 0
     refactor_count: int = field(default=0, compare=False)
+    diag: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.diag = self.V.diagonal()
 
     @property
     def n(self) -> int:
         return self.M.shape[0]
 
     def diagonal(self) -> np.ndarray:
-        return np.diag(self.V).copy()
+        """The tracked diagonal of V (read-only)."""
+        return self.diag
 
 
 def factor_inverse(M) -> InverseState:
@@ -188,15 +196,17 @@ def sherman_morrison_update(state: InverseState, i: int, delta: float) -> None:
         raise ValueError(
             f"update would lose positive definiteness (1 + delta*V_ii = {denom:.3e})")
     vi = state.V[:, i].copy()
-    state.V -= (delta / denom) * np.outer(vi, vi)
+    outer = np.multiply.outer(vi, vi)
+    outer *= delta / denom
+    state.V -= outer
     state.M[i, i] += delta
     state.update_count += 1
     if state.update_count % n == 0:
         scale = max(1.0, np.abs(state.M).max())
         drift = np.abs(state.M @ state.V - np.eye(n)).max()
         if drift > _DRIFT_TOL * scale:
-            fresh = factor_inverse(state.M)
-            state.V = fresh.V
+            state.V = factor_inverse(state.M).V
+            state.diag = state.V.diagonal()
             state.refactor_count += 1
 
 

@@ -18,7 +18,7 @@ bound.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.optimize
@@ -694,12 +694,13 @@ def solve_qcp(model: QcpModel) -> RelaxationSolution:
     k = Z.shape[1]
     x_f = red.x_hat + Z @ result.z[:k]
     slope, intercept = red.hull_coeffs()
-    square = red.square_mask()
     y_f = slope * x_f + intercept
     for j, f in enumerate(model.sq_idx):
         y_f[f] = result.z[k + j]
-    # keep hull membership exact against roundoff
-    y_f = np.where(square, np.maximum(y_f, x_f ** 2), y_f)
+    # keep y_f >= x_f**2 exact against roundoff: binary and two-point
+    # coordinates sit on the secant, which dips below the parabola when x
+    # lands a hair outside its box
+    y_f = np.maximum(y_f, x_f ** 2)
     # cut rows carry the fixed-block quadratic offset, so z[-1] is already
     # the full-space epigraph value
     v = float(result.z[-1])
@@ -807,25 +808,15 @@ def cutting_surface(instance: MiqpInstance, alpha: float, max_cuts: int = 20,
     cuts_added = 0
     if sol is not None and red.n_free:
         base_cfg = sep_config or SeparationConfig()
+        cfg = replace(base_cfg, trace=collect_traces,
+                      rho0=base_cfg.rho0 if base_cfg.rho0 is not None
+                      else rho_init(red.Qr, red.lower, red.upper))
         for _ in range(max_cuts):
             eta_f = eta_from_relaxation(sol.x[red.free], sol.y[red.free])
             if float(eta_f.max(initial=0.0)) <= 1e-12:
                 break  # relaxation is exact at this point
             sep_in = SeparationInput(Q=red.Qr, A=red.Ar, alpha=alpha,
                                      eta=eta_f)
-            cfg = SeparationConfig(
-                rho0=base_cfg.rho0 if base_cfg.rho0 is not None
-                else rho_init(red.Qr, red.lower, red.upper),
-                max_iter_per_var=base_cfg.max_iter_per_var,
-                sigma_min=base_cfg.sigma_min,
-                sigma_update=base_cfg.sigma_update,
-                eps_update=base_cfg.eps_update,
-                check_every=base_cfg.check_every,
-                eps_check=base_cfg.eps_check,
-                rho_update=base_cfg.rho_update,
-                max_restarts=base_cfg.max_restarts,
-                restart_factor=base_cfg.restart_factor,
-                trace=collect_traces)
             sep = solve_smooth(sep_in, cfg) if mode == "smooth" \
                 else solve_nonsmooth(sep_in, cfg)
             if traces is not None and sep.trace:

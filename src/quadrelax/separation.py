@@ -12,10 +12,15 @@ nonsmooth eta^T d + lambda sum(max(d_i, 0)) with lambda = sum(eta).  Every
 iterate keeps the barrier matrix positive definite, so any returned d is a
 member of D regardless of how early the iteration stops.
 
-Each coordinate step has a closed form: the barrier diagonal is tracked
-through rank-one inverse updates, the best coordinate is the one with the
-largest gradient (or minimum-norm subgradient) component, and the exact
-one-dimensional minimizer along that coordinate is available analytically.
+Each coordinate step has a closed form: the best coordinate is the one
+with the largest gradient (or minimum-norm subgradient) component, and the
+exact one-dimensional minimizer along it is available analytically.  Both
+solvers run one loop that updates its state instead of rebuilding it: V =
+(Q + alpha A^T A + diag d)^-1 and its diagonal take one in-place
+Sherman-Morrison update per step, the regularizer's slopes a <= b change in
+entry i only, s = max(a - sigma diag V, min(b - sigma diag V, 0)) is both
+the smooth gradient and the minimum-norm subgradient, and the objective is
+evaluated only at convergence checks.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .linalg import factor_inverse, min_eigenvalue, sherman_morrison_update
 __all__ = [
     "SeparationInput",
     "SeparationConfig",
-    "SeparationState",
     "StepQuantities",
     "SeparationResult",
     "eta_from_relaxation",
@@ -138,19 +142,6 @@ class SeparationConfig:
     trace: bool = False
 
 
-@dataclass
-class SeparationState:
-    """Mutable loop state shared by the solvers (exposed for inspection)."""
-
-    d: np.ndarray
-    d_max: float
-    sigma: float
-    rho: float
-    inverse: object
-    k: int = 0
-    restarts: int = 0
-
-
 @dataclass(frozen=True)
 class StepQuantities:
     """One smooth coordinate step: minimizer of
@@ -242,6 +233,11 @@ def coordinate_step_smooth(i, d_i, eta_i, v_ii, rho, sigma) -> StepQuantities:
     evaluated in the cancellation-free form
     (kappa - 4 phi tau) / (sqrt(...) + phi + tau) when phi + tau > 0.
     """
+    return StepQuantities(int(i), *_smooth_step(d_i, eta_i, v_ii, rho, sigma))
+
+
+def _smooth_step(d_i, eta_i, v_ii, rho, sigma):
+    """(phi, tau, kappa, delta) of ``coordinate_step_smooth``."""
     if v_ii <= 0.0 or rho <= 0.0 or sigma <= 0.0:
         raise ValueError("v_ii, rho, sigma must be positive")
     phi = 1.0 / (2.0 * v_ii)
@@ -268,7 +264,7 @@ def coordinate_step_smooth(i, d_i, eta_i, v_ii, rho, sigma) -> StepQuantities:
         if 1.0 + candidate * v_ii <= 0.0:
             break
         delta = candidate
-    return StepQuantities(index=int(i), phi=phi, tau=tau, kappa=kappa, delta=delta)
+    return phi, tau, kappa, delta
 
 
 def check_restart(d_max: float, mu: float, factor: float = 10.0) -> bool:
@@ -300,6 +296,52 @@ def _barrier_mu(base: np.ndarray) -> float:
     return mu
 
 
+def _min_norm_subgradient(a, b, sigma, v_diag):
+    """Minimum-norm element of [a_i, b_i] - sigma V_ii per coordinate, a <= b."""
+    sv = sigma * v_diag
+    return np.maximum(a - sv, np.minimum(b - sv, 0.0))
+
+
+def _descend(inverse, d, a, b, sigma, step, objective, ref_norm, config,
+             trace, done=0, rho=0.0, mu=None):
+    """Coordinate descent from d, updating d, a, b and ``inverse`` in place.
+
+    a, b are the regularizer's left and right slopes at d.  ``step(i, d_i,
+    v_ii, sigma)`` returns the step along i and the new d_i, and refreshes
+    a[i], b[i].  With ``mu`` given, |d_i| > restart_factor * mu stops the run
+    before the inverse update.  Trace rows are numbered from ``done``.
+    Returns (status, steps, sigma): "converged", "max_iter" or "restart".
+    """
+    max_iter = config.max_iter_per_var * d.size
+    check_every = config.check_every * d.size
+    s = _min_norm_subgradient(a, b, sigma, inverse.diag)
+    g_prev = objective(d)
+    d_max = float(np.abs(d).max())
+    k = 0
+    while k < max_iter:
+        k += 1
+        i = int(np.abs(s).argmax())
+        delta, d_i = step(i, d.item(i), inverse.diag.item(i), sigma)
+        d[i] = d_i
+        d_max = max(d_max, abs(d_i))
+        if mu is not None and check_restart(d_max, mu, config.restart_factor):
+            return "restart", k, sigma
+        sherman_morrison_update(inverse, i, delta)
+        s = _min_norm_subgradient(a, b, sigma, inverse.diag)
+        new_sigma = update_sigma(sigma, math.sqrt(s.dot(s)), ref_norm, config)
+        if new_sigma != sigma:
+            sigma = new_sigma
+            s = _min_norm_subgradient(a, b, sigma, inverse.diag)
+        if trace is not None:
+            trace.append((done + k, i, delta, sigma, rho, objective(d)))
+        if k % check_every == 0:
+            g_now = objective(d)
+            if g_prev - g_now < config.eps_check * max(1.0, abs(g_prev)):
+                return "converged", k, sigma
+            g_prev = g_now
+    return "max_iter", k, sigma
+
+
 def solve_smooth(inp: SeparationInput, config: SeparationConfig) -> SeparationResult:
     """Coordinate descent on the quadratically regularized separation problem.
 
@@ -324,70 +366,38 @@ def solve_smooth(inp: SeparationInput, config: SeparationConfig) -> SeparationRe
                                 sigma=0.0, status="converged",
                                 trace=[] if config.trace else None)
     rho = float(config.rho0)
-    max_iter = config.max_iter_per_var * n
-    check_every = config.check_every * n
     trace = [] if config.trace else None
-    total_steps = 0
-    restarts = 0
+    eta_l = eta.tolist()
+    total_steps = restarts = 0
+
+    def step(i, d_i, v_ii, sigma):
+        delta = _smooth_step(d_i, eta_l[i], v_ii, rho, sigma)[3]
+        d_i += delta
+        a[i] = eta_l[i] + 2.0 * rho * d_i
+        return delta, d_i
+
+    def objective(dv):
+        return float(eta @ dv + rho * (dv @ dv))
 
     while True:
         d = np.full(n, 1.5 * mu)
-        d_max = float(np.abs(d).max())
         inverse = factor_inverse(base + np.diag(d))
-        sigma = sigma_init(eta + 2.0 * rho * d, inverse.diagonal())
-        g_prev = float(eta @ d + rho * (d @ d))
-        k = 0
-        restarted = False
-        while k < max_iter:
-            k += 1
-            total_steps += 1
-            v_diag = np.diag(inverse.V)
-            grad = eta + 2.0 * rho * d - sigma * v_diag
-            i = select_index_smooth(grad)
-            step = coordinate_step_smooth(i, d[i], eta[i], v_diag[i], rho, sigma)
-            d[i] += step.delta
-            d_max = max(d_max, float(abs(d[i])))
-            if check_restart(d_max, mu, config.restart_factor):
+        a = eta + 2.0 * rho * d
+        sigma = sigma_init(a, inverse.diagonal())
+        status, k, sigma = _descend(inverse, d, a, a, sigma, step, objective,
+                                    eta_norm, config, trace, total_steps,
+                                    rho, mu)
+        total_steps += k
+        if status == "restart":
+            if restarts < config.max_restarts:
                 restarts += 1
-                if restarts > config.max_restarts:
-                    # d is still in D; report it rather than fail.
-                    return SeparationResult(
-                        d=d, objective=float(eta @ d + rho * (d @ d)),
-                        iterations=total_steps, restarts=restarts - 1,
-                        rho=rho, sigma=sigma, status="restart_limit",
-                        trace=trace)
                 rho *= config.rho_update
-                restarted = True
-                break
-            sherman_morrison_update(inverse, i, step.delta)
-            grad_now = eta + 2.0 * rho * d - sigma * np.diag(inverse.V)
-            sigma = update_sigma(sigma, float(np.linalg.norm(grad_now)),
-                                 eta_norm, config)
-            g_now = float(eta @ d + rho * (d @ d))
-            if trace is not None:
-                trace.append((total_steps, i, step.delta, sigma, rho, g_now))
-            if k % check_every == 0:
-                if g_prev - g_now < config.eps_check * max(1.0, abs(g_prev)):
-                    return SeparationResult(
-                        d=d, objective=g_now, iterations=total_steps,
-                        restarts=restarts, rho=rho, sigma=sigma,
-                        status="converged", trace=trace)
-                g_prev = g_now
-        if not restarted:
-            return SeparationResult(
-                d=d, objective=float(eta @ d + rho * (d @ d)),
-                iterations=total_steps, restarts=restarts, rho=rho,
-                sigma=sigma, status="max_iter", trace=trace)
-
-
-def _min_norm_subgradient(d, eta, beta, sigma, v_diag):
-    s = np.where(d > 0.0, beta - sigma * v_diag, eta - sigma * v_diag)
-    at_zero = d == 0.0
-    if np.any(at_zero):
-        lo = eta[at_zero] - sigma * v_diag[at_zero]
-        hi = beta[at_zero] - sigma * v_diag[at_zero]
-        s[at_zero] = np.where(lo > 0.0, lo, np.where(hi < 0.0, hi, 0.0))
-    return s
+                continue
+            status = "restart_limit"  # d is still in D; report it
+        return SeparationResult(d=d, objective=objective(d),
+                                iterations=total_steps, restarts=restarts,
+                                rho=rho, sigma=sigma, status=status,
+                                trace=trace)
 
 
 def _nonsmooth_step(d_i, eta_i, beta_i, sigma, v_ii):
@@ -430,37 +440,24 @@ def solve_nonsmooth(inp: SeparationInput, config: SeparationConfig) -> Separatio
                                 rho=0.0, sigma=0.0, status="converged",
                                 trace=[] if config.trace else None)
     beta = eta + lam
+    eta_l, beta_l = eta.tolist(), beta.tolist()
     inverse = factor_inverse(base + np.diag(d))
-    sigma = sigma_init(np.where(d > 0.0, beta, eta), inverse.diagonal())
-    beta_norm = float(np.linalg.norm(beta))
-    max_iter = config.max_iter_per_var * n
-    check_every = config.check_every * n
+    a, b = beta.copy(), beta.copy()  # left and right slopes; d starts > 0
+    sigma = sigma_init(a, inverse.diagonal())
     trace = [] if config.trace else None
 
-    def g_value(dv):
+    def step(i, d_i, v_ii, sigma):
+        delta, at_kink = _nonsmooth_step(d_i, eta_l[i], beta_l[i], sigma, v_ii)
+        d_i = 0.0 if at_kink else d_i + delta
+        a[i] = beta_l[i] if d_i > 0.0 else eta_l[i]
+        b[i] = eta_l[i] if d_i < 0.0 else beta_l[i]
+        return delta, d_i
+
+    def objective(dv):
         return float(eta @ dv + lam * np.maximum(dv, 0.0).sum())
 
-    g_prev = g_value(d)
-    k = 0
-    while k < max_iter:
-        k += 1
-        v_diag = np.diag(inverse.V)
-        s = _min_norm_subgradient(d, eta, beta, sigma, v_diag)
-        i = int(np.argmax(np.abs(s)))
-        delta, at_kink = _nonsmooth_step(d[i], eta[i], beta[i], sigma, v_diag[i])
-        d[i] = 0.0 if at_kink else d[i] + delta
-        sherman_morrison_update(inverse, i, delta)
-        s_now = _min_norm_subgradient(d, eta, beta, sigma, np.diag(inverse.V))
-        sigma = update_sigma(sigma, float(np.linalg.norm(s_now)), beta_norm, config)
-        g_now = g_value(d)
-        if trace is not None:
-            trace.append((k, i, delta, sigma, 0.0, g_now))
-        if k % check_every == 0:
-            if g_prev - g_now < config.eps_check * max(1.0, abs(g_prev)):
-                return SeparationResult(d=d, objective=g_now, iterations=k,
-                                        restarts=0, rho=0.0, sigma=sigma,
-                                        status="converged", trace=trace)
-            g_prev = g_now
-    return SeparationResult(d=d, objective=g_value(d), iterations=k,
-                            restarts=0, rho=0.0, sigma=sigma,
-                            status="max_iter", trace=trace)
+    status, k, sigma = _descend(inverse, d, a, b, sigma, step, objective,
+                                float(np.linalg.norm(beta)), config, trace)
+    return SeparationResult(d=d, objective=objective(d), iterations=k,
+                            restarts=0, rho=0.0, sigma=sigma, status=status,
+                            trace=trace)

@@ -11,6 +11,7 @@ from quadrelax.bnb import (
     brute_force_oracle,
     solve,
 )
+from quadrelax.cli import generate_instance
 from quadrelax.model import (
     MiqpInstance,
     VariableDomain,
@@ -160,6 +161,19 @@ class TestOracleAgreement:
         assert rep.status == "optimal"
         assert rep.upper_bound <= opt + 1e-5 * max(1.0, abs(opt))
         assert rep.lower_bound <= rep.upper_bound + 1e-9
+
+
+class TestUncertifiedRoot:
+    def test_search_continues_to_oracle_optimum(self):
+        # the root cut loop fails certification here; an infinite lower
+        # bound must not close the gap before any incumbent exists
+        inst = generate_instance("eq_integer", 5, 0.8, 101003)
+        rep = solve(inst, BnbConfig(max_nc=3, node_limit=150))
+        opt = brute_force_oracle(inst)
+        assert rep.root_bound is None
+        assert rep.status == "optimal"
+        assert rep.upper_bound == pytest.approx(opt, rel=1e-9)
+        assert is_feasible(inst, rep.best_point)
 
 
 class TestLimits:

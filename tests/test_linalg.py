@@ -141,6 +141,23 @@ class TestInverseState:
         assert state.refactor_count == 1
         assert np.abs(state.M @ state.V - np.eye(2)).max() < 1e-10
 
+    def test_tracked_diagonal_is_bitwise_diag_of_v(self):
+        rng = np.random.default_rng(9)
+        n = 5
+        C = rng.normal(size=(n, n))
+        state = factor_inverse(C @ C.T + np.eye(n))
+        assert state.diagonal().tobytes() == np.diag(state.V).tobytes()
+        for _ in range(12):
+            sherman_morrison_update(state, int(rng.integers(n)),
+                                    float(rng.uniform(0.0, 2.0)))
+            assert state.diag.tobytes() == np.diag(state.V).tobytes()
+        # corrupt V so the next drift check refactors it
+        state.V[0, 0] += 0.5
+        while state.refactor_count == 0:
+            sherman_morrison_update(state, 1, 0.1)
+        assert state.diag.tobytes() == np.diag(state.V).tobytes()
+        assert state.diag[0] == pytest.approx(np.linalg.inv(state.M)[0, 0])
+
     def test_update_count_tracks(self):
         state = factor_inverse(np.eye(3))
         for k in range(5):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from quadrelax.cli import generate_instance
 from quadrelax.linalg import nullspace_basis, projected_min_eigenvalue
 from quadrelax.model import MiqpInstance, VariableDomain
 from quadrelax.relax import (
@@ -382,6 +383,16 @@ class TestCuttingSurface:
                 for d in res.pool.cuts:
                     lhs = float(x @ (inst.Q + np.diag(d)) @ x - d @ y)
                     assert fx >= lhs - 1e-8 * max(1.0, abs(fx))
+
+    def test_secant_coordinates_stay_above_parabola(self):
+        # IPM roundoff puts some binary x a hair outside [0, 1], where the
+        # secant y = x dips below x**2; the next separation then saw a
+        # negative slack and raised
+        inst = generate_instance("binary_card", 20, 0.8, 15005)
+        res = cutting_surface(inst, select_alpha(inst).alpha, max_cuts=10,
+                              mode="smooth")
+        assert res.cuts_added == 10
+        assert np.all(res.solution.y >= res.solution.x ** 2)
 
     def test_zero_budget_returns_initial_bound(self):
         inst = saddle_instance()

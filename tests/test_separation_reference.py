@@ -1,0 +1,266 @@
+"""The separation loops against verbatim copies of their step-by-step form.
+
+``reference_smooth`` and ``reference_nonsmooth`` rebuild diag(V), the
+gradient and the objective anew every step.  The solvers in
+``quadrelax.separation`` keep that state up to date incrementally with the
+same floating-point operations, so every result field and every trace row
+must match bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from quadrelax import linalg, separation
+from quadrelax.linalg import factor_inverse, sherman_morrison_update
+from quadrelax.separation import (
+    SeparationConfig,
+    SeparationInput,
+    SeparationResult,
+    _barrier_mu,
+    _nonsmooth_step,
+    check_restart,
+    coordinate_step_smooth,
+    select_index_smooth,
+    sigma_init,
+    solve_nonsmooth,
+    solve_smooth,
+    update_sigma,
+)
+
+
+def reference_smooth(inp: SeparationInput, config: SeparationConfig) -> SeparationResult:
+    if config.rho0 is None or config.rho0 <= 0.0:
+        raise ValueError("config.rho0 must be a positive regularization seed")
+    n = inp.n
+    eta = inp.eta
+    base = inp.barrier_base()
+    mu = _barrier_mu(base)
+    eta_norm = float(np.linalg.norm(eta))
+    if eta_norm == 0.0:
+        # exact relaxation point: every d separates equally, keep the seed
+        d0 = np.full(n, 1.5 * mu)
+        return SeparationResult(d=d0, objective=float(config.rho0) * float(d0 @ d0),
+                                iterations=0, restarts=0, rho=float(config.rho0),
+                                sigma=0.0, status="converged",
+                                trace=[] if config.trace else None)
+    rho = float(config.rho0)
+    max_iter = config.max_iter_per_var * n
+    check_every = config.check_every * n
+    trace = [] if config.trace else None
+    total_steps = 0
+    restarts = 0
+
+    while True:
+        d = np.full(n, 1.5 * mu)
+        d_max = float(np.abs(d).max())
+        inverse = factor_inverse(base + np.diag(d))
+        sigma = sigma_init(eta + 2.0 * rho * d, inverse.diagonal())
+        g_prev = float(eta @ d + rho * (d @ d))
+        k = 0
+        restarted = False
+        while k < max_iter:
+            k += 1
+            total_steps += 1
+            v_diag = np.diag(inverse.V)
+            grad = eta + 2.0 * rho * d - sigma * v_diag
+            i = select_index_smooth(grad)
+            step = coordinate_step_smooth(i, d[i], eta[i], v_diag[i], rho, sigma)
+            d[i] += step.delta
+            d_max = max(d_max, float(abs(d[i])))
+            if check_restart(d_max, mu, config.restart_factor):
+                restarts += 1
+                if restarts > config.max_restarts:
+                    # d is still in D; report it rather than fail.
+                    return SeparationResult(
+                        d=d, objective=float(eta @ d + rho * (d @ d)),
+                        iterations=total_steps, restarts=restarts - 1,
+                        rho=rho, sigma=sigma, status="restart_limit",
+                        trace=trace)
+                rho *= config.rho_update
+                restarted = True
+                break
+            sherman_morrison_update(inverse, i, step.delta)
+            grad_now = eta + 2.0 * rho * d - sigma * np.diag(inverse.V)
+            sigma = update_sigma(sigma, float(np.linalg.norm(grad_now)),
+                                 eta_norm, config)
+            g_now = float(eta @ d + rho * (d @ d))
+            if trace is not None:
+                trace.append((total_steps, i, step.delta, sigma, rho, g_now))
+            if k % check_every == 0:
+                if g_prev - g_now < config.eps_check * max(1.0, abs(g_prev)):
+                    return SeparationResult(
+                        d=d, objective=g_now, iterations=total_steps,
+                        restarts=restarts, rho=rho, sigma=sigma,
+                        status="converged", trace=trace)
+                g_prev = g_now
+        if not restarted:
+            return SeparationResult(
+                d=d, objective=float(eta @ d + rho * (d @ d)),
+                iterations=total_steps, restarts=restarts, rho=rho,
+                sigma=sigma, status="max_iter", trace=trace)
+
+
+def _min_norm_subgradient(d, eta, beta, sigma, v_diag):
+    s = np.where(d > 0.0, beta - sigma * v_diag, eta - sigma * v_diag)
+    at_zero = d == 0.0
+    if np.any(at_zero):
+        lo = eta[at_zero] - sigma * v_diag[at_zero]
+        hi = beta[at_zero] - sigma * v_diag[at_zero]
+        s[at_zero] = np.where(lo > 0.0, lo, np.where(hi < 0.0, hi, 0.0))
+    return s
+
+
+def reference_nonsmooth(inp: SeparationInput, config: SeparationConfig) -> SeparationResult:
+    n = inp.n
+    eta = inp.eta
+    base = inp.barrier_base()
+    mu = _barrier_mu(base)
+    lam = float(eta.sum())
+    d = np.full(n, 1.5 * mu)
+    if lam <= 1e-14:
+        # zero slack vector: every d has the same objective, keep the seed
+        return SeparationResult(d=d, objective=0.0, iterations=0, restarts=0,
+                                rho=0.0, sigma=0.0, status="converged",
+                                trace=[] if config.trace else None)
+    beta = eta + lam
+    inverse = factor_inverse(base + np.diag(d))
+    sigma = sigma_init(np.where(d > 0.0, beta, eta), inverse.diagonal())
+    beta_norm = float(np.linalg.norm(beta))
+    max_iter = config.max_iter_per_var * n
+    check_every = config.check_every * n
+    trace = [] if config.trace else None
+
+    def g_value(dv):
+        return float(eta @ dv + lam * np.maximum(dv, 0.0).sum())
+
+    g_prev = g_value(d)
+    k = 0
+    while k < max_iter:
+        k += 1
+        v_diag = np.diag(inverse.V)
+        s = _min_norm_subgradient(d, eta, beta, sigma, v_diag)
+        i = int(np.argmax(np.abs(s)))
+        delta, at_kink = _nonsmooth_step(d[i], eta[i], beta[i], sigma, v_diag[i])
+        d[i] = 0.0 if at_kink else d[i] + delta
+        sherman_morrison_update(inverse, i, delta)
+        s_now = _min_norm_subgradient(d, eta, beta, sigma, np.diag(inverse.V))
+        sigma = update_sigma(sigma, float(np.linalg.norm(s_now)), beta_norm, config)
+        g_now = g_value(d)
+        if trace is not None:
+            trace.append((k, i, delta, sigma, 0.0, g_now))
+        if k % check_every == 0:
+            if g_prev - g_now < config.eps_check * max(1.0, abs(g_prev)):
+                return SeparationResult(d=d, objective=g_now, iterations=k,
+                                        restarts=0, rho=0.0, sigma=sigma,
+                                        status="converged", trace=trace)
+            g_prev = g_now
+    return SeparationResult(d=d, objective=g_value(d), iterations=k,
+                            restarts=0, rho=0.0, sigma=sigma,
+                            status="max_iter", trace=trace)
+
+
+def seeded_case(seed):
+    """Separation input and config drawn from one seed.
+
+    Q is scaled over four decades, a third of the instances have no rows,
+    some slacks are exactly zero, rho0 spans 1e-10..1e-2 (tiny values force
+    restarts) and max_restarts is small enough to hit the restart limit.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 16))
+    rows = int(rng.integers(0, 3))
+    B = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-1, 3)
+    A = rng.normal(size=(rows, n)) if rows else np.zeros((0, n))
+    alpha = float(rng.uniform(0.5, 2.0)) if rows else 0.0
+    eta = np.abs(rng.normal(size=n))
+    eta[rng.random(n) < 0.3] = 0.0
+    inp = SeparationInput(Q=0.5 * (B + B.T), A=A, alpha=alpha, eta=eta)
+    cfg = SeparationConfig(rho0=float(10.0 ** rng.uniform(-10, -2)),
+                           max_restarts=int(rng.integers(0, 4)))
+    return inp, cfg
+
+
+# Seeds of ``seeded_case`` that between them take every path of the loop;
+# ``test_seeds_cover_every_path`` keeps the list honest.
+SEEDS = [0, 1, 2, 4, 5, 6, 9, 10, 11, 61, 97, 101, 191]
+
+SOLVERS = {"smooth": (solve_smooth, reference_smooth),
+           "nonsmooth": (solve_nonsmooth, reference_nonsmooth)}
+
+
+def assert_bitwise_equal(new, ref):
+    assert new.d.tobytes() == ref.d.tobytes()
+    assert (new.iterations, new.restarts, new.status) == \
+        (ref.iterations, ref.restarts, ref.status)
+    assert (new.sigma, new.rho, new.objective) == \
+        (ref.sigma, ref.rho, ref.objective)
+    assert new.trace == ref.trace
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("mode", ["smooth", "nonsmooth"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_matches_reference(seed, mode, trace):
+    inp, cfg = seeded_case(seed)
+    cfg.trace = trace
+    solve, reference = SOLVERS[mode]
+    assert_bitwise_equal(solve(inp, cfg), reference(inp, cfg))
+
+
+@pytest.mark.parametrize("mode", ["smooth", "nonsmooth"])
+@pytest.mark.parametrize("seed", [4, 10])
+def test_iteration_budget_matches_reference(seed, mode):
+    inp, cfg = seeded_case(seed)
+    cfg.max_iter_per_var = 2
+    cfg.trace = True
+    solve, reference = SOLVERS[mode]
+    new = solve(inp, cfg)
+    assert new.status == "max_iter"
+    assert_bitwise_equal(new, reference(inp, cfg))
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("mode", ["smooth", "nonsmooth"])
+def test_zero_slack_matches_reference(mode, trace):
+    inp, cfg = seeded_case(4)
+    inp = SeparationInput(Q=inp.Q, A=inp.A, alpha=inp.alpha,
+                          eta=np.zeros(inp.n))
+    cfg.trace = trace
+    solve, reference = SOLVERS[mode]
+    new = solve(inp, cfg)
+    assert new.iterations == 0
+    assert_bitwise_equal(new, reference(inp, cfg))
+
+
+def test_seeds_cover_every_path(monkeypatch):
+    refactors = [0]
+    kinks = [0]
+    factor = linalg.factor_inverse
+    step = separation._nonsmooth_step
+
+    def counting_factor(M):
+        refactors[0] += 1
+        return factor(M)
+
+    def counting_step(*args):
+        out = step(*args)
+        kinks[0] += out[1]
+        return out
+
+    # only refactors reach factor_inverse through the linalg namespace
+    monkeypatch.setattr(linalg, "factor_inverse", counting_factor)
+    monkeypatch.setattr(separation, "_nonsmooth_step", counting_step)
+    seen = set()
+    for seed in SEEDS:
+        inp, cfg = seeded_case(seed)
+        if inp.A.shape[0] and inp.alpha > 0.0:
+            seen.add("rows")
+        res = solve_smooth(inp, cfg)
+        seen.add(res.status)
+        if res.restarts and res.status == "converged":
+            seen.add("restarted")
+        if solve_nonsmooth(inp, cfg).d.min() < 0.0:
+            seen.add("negative")
+    assert refactors[0] > 0 and kinks[0] > 0
+    assert {"rows", "converged", "max_iter", "restart_limit", "restarted",
+            "negative"} <= seen
