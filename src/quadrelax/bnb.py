@@ -136,31 +136,18 @@ def _solve_child(instance, d, bounds, red=None):
             return None
 
 
-def _slice_points(instance, red, cap):
-    """Per-free-variable admissible values, or None past cap/continuous."""
+def _fold_slice(instance, node, red) -> NodeBound | None:
+    """Enumerate a small all-discrete slice exactly; None when too big."""
     lists = []
     total = 1
     for k, i in enumerate(red.free):
-        dom = instance.domains[i]
-        lo, hi = red.lower[k], red.upper[k]
-        if dom.kind in ("binary", "two_point"):
-            pts = [p for p in dom.points if lo - 1e-9 <= p <= hi + 1e-9]
-        elif dom.kind == "integer_range":
-            pts = list(np.arange(np.ceil(lo - 1e-9), np.floor(hi + 1e-9) + 0.5))
-        else:
+        pts = instance.domains[i].admissible(red.lower[k], red.upper[k])
+        if pts is None:
             return None
         total *= len(pts)
-        if total > cap or total == 0:
+        if total > _FOLD_CAP or total == 0:
             return None
         lists.append(pts)
-    return lists
-
-
-def _fold_slice(instance, node, red) -> NodeBound | None:
-    """Enumerate a small all-discrete slice exactly; None when too big."""
-    lists = _slice_points(instance, red, _FOLD_CAP)
-    if lists is None:
-        return None
     X = np.array(list(itertools.product(*lists)))
     if red.Ar.shape[0]:
         scale = max(1.0, float(np.abs(red.br).max(initial=0.0)))
@@ -246,28 +233,15 @@ def bound_node(instance: MiqpInstance, node: Node, alpha: float,
 # Branching
 
 
-def _child(node: Node, i: int, lo: float, hi: float) -> Node:
-    lower = node.lower.copy()
-    upper = node.upper.copy()
-    lower[i], upper[i] = lo, hi
-    return Node(lower, upper, node.d, node.lb, node.depth + 1)
-
-
 def _split(instance: MiqpInstance, node: Node, i: int, xi: float) -> list:
-    dom = instance.domains[i]
-    lo, hi = node.lower[i], node.upper[i]
-    if dom.kind in ("binary", "two_point"):
-        return [_child(node, i, p, p) for p in dom.points
-                if lo - 1e-9 <= p <= hi + 1e-9]
-    if dom.kind == "integer_range":
-        t = np.floor(min(max(xi, lo), hi))
-        t = min(max(t, np.ceil(lo)), np.floor(hi) - 1.0)
-        return [_child(node, i, lo, t), _child(node, i, t + 1.0, hi)]
-    # interval: bisect at the relaxation point, clamped so neither side
-    # is thinner than 10% of the current width
-    w = hi - lo
-    t = min(max(xi, lo + 0.1 * w), hi - 0.1 * w)
-    return [_child(node, i, lo, t), _child(node, i, t, hi)]
+    """Children of node that split variable i at xi, as its domain rules."""
+    children = []
+    for lo, hi in instance.domains[i].split(node.lower[i], node.upper[i], xi):
+        lower = node.lower.copy()
+        upper = node.upper.copy()
+        lower[i], upper[i] = lo, hi
+        children.append(Node(lower, upper, node.d, node.lb, node.depth + 1))
+    return children
 
 
 def branch(instance: MiqpInstance, node: Node,
@@ -520,14 +494,6 @@ def solve(instance: MiqpInstance, config: BnbConfig | None = None) -> SolveRepor
 # Enumeration oracle
 
 
-def _domain_points(dom) -> np.ndarray:
-    if dom.kind in ("binary", "two_point"):
-        return np.array(dom.points)
-    if dom.kind == "integer_range":
-        return np.arange(dom.L, dom.U + 0.5)
-    raise ValueError("interval domains are not enumerable")
-
-
 def _best_in_chunk(instance, chunk, scale, best, best_x):
     X = np.array(chunk)
     if instance.m:
@@ -553,7 +519,7 @@ def brute_force_oracle(instance: MiqpInstance) -> float:
     """
     doms = instance.domains
     if all(d.is_discrete for d in doms):
-        lists = [_domain_points(d) for d in doms]
+        lists = [d.admissible(d.L, d.U) for d in doms]
         total = 1
         for pts in lists:
             total *= len(pts)
@@ -575,7 +541,7 @@ def brute_force_oracle(instance: MiqpInstance) -> float:
             raise ValueError("no admissible point satisfies the equality rows")
         return best
 
-    if all(d.kind == "interval" for d in doms) and instance.m == 0:
+    if not any(d.is_discrete for d in doms) and instance.m == 0:
         if instance.n > 4:
             raise ValueError("continuous oracle is limited to n <= 4")
         k = 41 if instance.n <= 3 else 21

@@ -2,8 +2,9 @@
 
 Thin wrappers around LAPACK (via numpy/scipy) that pin down the exact
 conventions the rest of the package relies on: orthonormal nullspace bases,
-smallest (generalized/projected) eigenvalues, and an incrementally updated
-inverse of a positive definite matrix under rank-one diagonal modifications.
+independent row subsets, smallest (generalized/projected) eigenvalues, and
+an incrementally updated inverse of a positive definite matrix under
+rank-one diagonal modifications.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ __all__ = [
     "NullspaceBasis",
     "InverseState",
     "nullspace_basis",
+    "independent_rows",
     "min_eigenvalue",
     "min_generalized_eigenvalue",
     "projected_min_eigenvalue",
@@ -89,6 +91,20 @@ def nullspace_basis(A, n: int | None = None) -> NullspaceBasis:
         if ortho > _NULL_TOL:
             raise ValueError(f"nullspace basis not orthonormal ({ortho:.3e})")
     return NullspaceBasis(Z=Z)
+
+
+def independent_rows(A, tol: float):
+    """Split the rows of A into a linearly independent subset and the rest.
+
+    Rank-revealing pivoted QR on A^T (its pivoted columns are rows of A); a
+    pivot counts when |R_kk| > tol * max(1, |R_00|).  Returns (kept,
+    dropped), each a sorted list of row indices.  Checking that the dropped
+    rows are consistent is left to the caller.
+    """
+    _, R, piv = scipy.linalg.qr(A.T, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > tol * max(1.0, diag[0] if diag.size else 1.0)))
+    return sorted(piv[:rank]), sorted(piv[rank:])
 
 
 def min_eigenvalue(M) -> float:

@@ -6,23 +6,26 @@ A problem instance is the data of
     s.t. A x = b,  x_i in S_i,
 
 where Q is symmetric (possibly indefinite), A has full row rank, and every
-S_i is a bounded set described by a :class:`VariableDomain`.  Alongside the
-raw data the instance carries, per variable, the secant overestimator
-``u_i`` and the convex underestimator ``l_i`` of ``x**2`` on S_i, which all
-relaxations in this package are built from.
+S_i is a bounded set described by a :class:`VariableDomain`.  All
+relaxations in this package are built, per variable, from the secant
+overestimator ``u_i`` and the convex underestimator ``l_i`` of ``x**2`` on
+S_i (:func:`hull_upper`, :func:`hull_lower`).  Neither is stored on the
+instance: both follow from the domain, which is also what every node
+slices to its box.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import independent_rows
+
 __all__ = [
     "VariableDomain",
-    "HullForm",
     "MiqpInstance",
     "InstanceError",
     "load_instance",
@@ -35,11 +38,8 @@ __all__ = [
 
 DOMAIN_KINDS = ("interval", "binary", "two_point", "integer_range")
 
-# Kinds whose admissible set is finite (branching fixes/splits them).
-DISCRETE_KINDS = ("binary", "two_point", "integer_range")
-
-# Kinds whose underestimator of x**2 is x**2 itself rather than the secant.
-SQUARE_HULL_KINDS = ("interval", "integer_range")
+# Slack for admissible values at the edge of a node box.
+_EDGE_TOL = 1e-9
 
 
 class InstanceError(ValueError):
@@ -54,6 +54,12 @@ class VariableDomain:
     kind="binary"         S = {0, 1}
     kind="two_point"      S = {L, U} with L < U
     kind="integer_range"  S = {L, L+1, ..., U} with L, U integral
+
+    This class is the one place that knows the kinds.  Everything else
+    asks it: ``is_discrete`` and ``two_point`` (S is exactly {L, U}, so
+    l_i is the secant), ``admissible`` (the values inside a node box),
+    ``slice`` (S tightened to a node box), ``split`` (the child boxes of a
+    branching) and ``nearest_point`` (rounding).
     """
 
     kind: str
@@ -79,53 +85,77 @@ class VariableDomain:
         object.__setattr__(self, "U", U)
 
     @property
-    def points(self) -> tuple[float, float]:
-        """The two admissible points of a two_point (or binary) domain."""
-        if self.kind not in ("two_point", "binary"):
-            raise InstanceError(f"{self.kind} domain has no two-point representation")
-        return (self.L, self.U)
+    def is_discrete(self) -> bool:
+        return self.kind != "interval"
 
     @property
-    def is_discrete(self) -> bool:
-        return self.kind in DISCRETE_KINDS
+    def two_point(self) -> bool:
+        """S is exactly {L, U} (binary and two_point kinds)."""
+        return self.kind in ("binary", "two_point")
+
+    def admissible(self, lo, hi):
+        """Admissible values inside [lo, hi], with 1e-9 slack at both ends.
+
+        A sequence in increasing order, empty when none is left; None for
+        an interval, whose values cannot be listed.
+        """
+        if self.two_point:
+            return [p for p in (self.L, self.U)
+                    if lo - _EDGE_TOL <= p <= hi + _EDGE_TOL]
+        if self.kind == "integer_range":
+            return np.arange(np.ceil(max(lo, self.L) - _EDGE_TOL),
+                             np.floor(min(hi, self.U) + _EDGE_TOL) + 0.5)
+        return None
+
+    def slice(self, lo, hi):
+        """(L, U) of S inside the node box [lo, hi]; None when empty.
+
+        L == U means one value is left.  A two-point slice that keeps both
+        points keeps the original (L, U).  An interval slice narrower than
+        1e-12 is fixed at its midpoint.
+        """
+        if self.two_point:
+            pts = self.admissible(lo, hi)
+            if not pts:
+                return None
+            return (pts[0], pts[0]) if len(pts) == 1 else (self.L, self.U)
+        L, U = max(lo, self.L), min(hi, self.U)
+        if self.kind == "integer_range":
+            L, U = float(np.ceil(L - _EDGE_TOL)), float(np.floor(U + _EDGE_TOL))
+            return (L, U) if L <= U else None
+        if L > U + _EDGE_TOL:
+            return None
+        if U - L <= 1e-12:
+            mid = 0.5 * (L + U)
+            return (mid, mid)
+        return (L, U)
+
+    def split(self, lo, hi, x):
+        """Child boxes [(lo_c, hi_c), ...] when branching on [lo, hi] at x.
+
+        Two-point slices fix each admissible point.  Integer ranges split
+        into [lo, t] and [t+1, hi] with t = floor(x) kept inside the range.
+        Intervals bisect at x, clamped so neither side is thinner than 10%
+        of the width.
+        """
+        if self.two_point:
+            return [(p, p) for p in self.admissible(lo, hi)]
+        if self.kind == "integer_range":
+            t = np.floor(min(max(x, lo), hi))
+            t = min(max(t, np.ceil(lo)), np.floor(hi) - 1.0)
+            return [(lo, t), (t + 1.0, hi)]
+        w = hi - lo
+        t = min(max(x, lo + 0.1 * w), hi - 0.1 * w)
+        return [(lo, t), (t, hi)]
 
     def nearest_point(self, x: float) -> float:
         """Closest admissible value to x (for feasibility checks and rounding)."""
         if self.kind == "interval":
             return min(max(x, self.L), self.U)
-        if self.kind in ("binary", "two_point"):
+        if self.two_point:
             return self.L if abs(x - self.L) <= abs(x - self.U) else self.U
         # integer_range
         return min(max(round(x), self.L), self.U)
-
-
-@dataclass(frozen=True)
-class HullForm:
-    """Per-variable description of l_i and u_i on [L_i, U_i].
-
-    u_i is always the secant of x**2 through the endpoints:
-        u_i(x) = (L+U) x - L*U  =  slope * x + intercept.
-    l_i is x**2 for interval/integer_range kinds ("square" tag) and the
-    secant itself for binary/two_point kinds ("affine" tag), in which case
-    the affine coefficients coincide with (slope, intercept).
-    """
-
-    lower_tag: str  # "square" or "affine"
-    slope: float
-    intercept: float
-
-    def upper(self, x):
-        return self.slope * x + self.intercept
-
-    def lower(self, x):
-        if self.lower_tag == "square":
-            return np.square(x)
-        return self.slope * x + self.intercept
-
-
-def _hull_for(dom: VariableDomain) -> HullForm:
-    tag = "square" if dom.kind in SQUARE_HULL_KINDS else "affine"
-    return HullForm(lower_tag=tag, slope=dom.L + dom.U, intercept=-dom.L * dom.U)
 
 
 def _prune_dependent_rows(A: np.ndarray, b: np.ndarray):
@@ -136,21 +166,12 @@ def _prune_dependent_rows(A: np.ndarray, b: np.ndarray):
     with zero residual); inconsistency means the instance is infeasible.
     Returns (A_kept, b_kept, dropped_row_indices).
     """
-    m, n = A.shape
-    if m == 0:
+    if A.shape[0] == 0:
         return A, b, []
     scale = max(1.0, float(np.abs(A).max()))
-    tol = 1e-10 * scale
-    # Rank-revealing pivoted QR on A^T: pivoted columns of A^T = rows of A.
-    from scipy.linalg import qr
-
-    _, R, piv = qr(A.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R)) if R.size else np.array([])
-    rank = int(np.sum(diag > tol * max(1.0, diag[0] if diag.size else 1.0)))
-    if rank == m:
+    keep, dropped = independent_rows(A, 1e-10 * scale)
+    if not dropped:
         return A, b, []
-    keep = sorted(piv[:rank])
-    dropped = sorted(piv[rank:])
     x_ls, *_ = np.linalg.lstsq(A, b, rcond=None)
     resid = np.abs(A @ x_ls - b)
     if resid.max(initial=0.0) > 1e-8 * max(1.0, float(np.abs(b).max(initial=0.0)), scale):
@@ -167,7 +188,7 @@ class MiqpInstance:
 
     Q is exactly symmetric, A has full row rank (dependent-but-consistent
     rows are pruned at construction with a warning), and every domain is
-    bounded.  ``hulls[i]`` holds the secant/square hull data of variable i.
+    bounded.
     """
 
     n: int
@@ -177,7 +198,6 @@ class MiqpInstance:
     A: np.ndarray
     b: np.ndarray
     domains: tuple[VariableDomain, ...]
-    hulls: tuple[HullForm, ...] = field(default=(), compare=False)
 
     @staticmethod
     def from_arrays(Q, q, A, b, domains) -> "MiqpInstance":
@@ -214,9 +234,8 @@ class MiqpInstance:
         domains = tuple(domains)
         if len(domains) != n:
             raise InstanceError(f"need {n} domains, got {len(domains)}")
-        hulls = tuple(_hull_for(d) for d in domains)
         return MiqpInstance(n=n, m=A.shape[0], Q=Q, q=q, A=A, b=b,
-                            domains=domains, hulls=hulls)
+                            domains=domains)
 
     @property
     def lower(self) -> np.ndarray:
@@ -345,28 +364,32 @@ def save_instance(inst: MiqpInstance, path) -> None:
         f.write("\n")
 
 
+def _domain_at(inst: MiqpInstance, i: int, x) -> VariableDomain:
+    dom = inst.domains[i]
+    if np.any(x < dom.L - 1e-12) or np.any(x > dom.U + 1e-12):
+        raise InstanceError(f"x={x} outside domain [{dom.L}, {dom.U}] of variable {i}")
+    return dom
+
+
 def hull_upper(inst: MiqpInstance, i: int, x) -> float:
     """Secant overestimator u_i(x) = (L+U) x - L*U of x**2 on domain i.
 
     x must lie in [L_i, U_i].
     """
-    dom = inst.domains[i]
-    if np.any(x < dom.L - 1e-12) or np.any(x > dom.U + 1e-12):
-        raise InstanceError(f"x={x} outside domain [{dom.L}, {dom.U}] of variable {i}")
-    return inst.hulls[i].upper(x)
+    dom = _domain_at(inst, i, x)
+    return (dom.L + dom.U) * x - dom.L * dom.U
 
 
 def hull_lower(inst: MiqpInstance, i: int, x) -> float:
     """Underestimator l_i(x) of x**2 on domain i.
 
-    x**2 for interval/integer_range domains, the secant for binary/two_point
-    (where the admissible set has only the two endpoints, so the secant is
-    exact on it).  x must lie in [L_i, U_i].
+    The secant for two-point domains (the admissible set has only the two
+    endpoints, so the secant is exact on it), x**2 otherwise.  x must lie
+    in [L_i, U_i].
     """
-    dom = inst.domains[i]
-    if np.any(x < dom.L - 1e-12) or np.any(x > dom.U + 1e-12):
-        raise InstanceError(f"x={x} outside domain [{dom.L}, {dom.U}] of variable {i}")
-    return inst.hulls[i].lower(x)
+    if _domain_at(inst, i, x).two_point:
+        return hull_upper(inst, i, x)
+    return np.square(x)
 
 
 def evaluate_objective(inst: MiqpInstance, x) -> float:

@@ -26,12 +26,13 @@ import scipy.optimize
 from . import qcqp
 from .linalg import (
     NullspaceBasis,
+    independent_rows,
     min_eigenvalue,
     min_generalized_eigenvalue,
     nullspace_basis,
     projected_min_eigenvalue,
 )
-from .model import SQUARE_HULL_KINDS, MiqpInstance
+from .model import MiqpInstance
 from .separation import (
     SeparationConfig,
     SeparationInput,
@@ -158,13 +159,10 @@ class RelaxationSolution:
         err = 0.0
         if inst.m:
             err = float(np.abs(inst.A @ self.x - inst.b).max())
-        for i, dom in enumerate(inst.domains):
-            err = max(err, dom.L - self.x[i], self.x[i] - dom.U)
-            hull = inst.hulls[i]
-            err = max(err, self.y[i] - hull.upper(self.x[i]))
-            lo = self.x[i] ** 2 if hull.lower_tag == "square" \
-                else hull.upper(self.x[i])
-            err = max(err, lo - self.y[i])
+        for dom, x, y in zip(inst.domains, self.x, self.y):
+            u = (dom.L + dom.U) * x - dom.L * dom.U
+            lo = u if dom.two_point else x ** 2
+            err = max(err, dom.L - x, x - dom.U, y - u, lo - y)
         return float(err)
 
 
@@ -224,36 +222,6 @@ def initial_perturbation(instance: MiqpInstance, alpha: float):
 # node reduction
 
 
-def _tighten_domain(dom, lo, hi):
-    """Intersect a domain with node bounds [lo, hi].
-
-    Returns ("empty", None), ("fixed", value), or ("free", (L, U)) where
-    for two-point kinds the endpoints are the original admissible pair.
-    """
-    tol = 1e-9
-    if dom.kind in ("binary", "two_point"):
-        pts = [p for p in dom.points if lo - tol <= p <= hi + tol]
-        if not pts:
-            return "empty", None
-        if len(pts) == 1:
-            return "fixed", pts[0]
-        return "free", (dom.L, dom.U)
-    if dom.kind == "integer_range":
-        L = float(np.ceil(max(lo, dom.L) - tol))
-        U = float(np.floor(min(hi, dom.U) + tol))
-        if L > U:
-            return "empty", None
-        if L == U:
-            return "fixed", L
-        return "free", (L, U)
-    L, U = max(lo, dom.L), min(hi, dom.U)
-    if L > U + tol:
-        return "empty", None
-    if U - L <= 1e-12:
-        return "fixed", 0.5 * (L + U)
-    return "free", (L, U)
-
-
 @dataclass
 class ReducedProblem:
     """Instance restricted to node bounds with fixed variables eliminated.
@@ -292,16 +260,16 @@ class ReducedProblem:
         free, fixed, fixed_vals = [], [], []
         lo_f, up_f = [], []
         for i, dom in enumerate(inst.domains):
-            status, payload = _tighten_domain(dom, lower[i], upper[i])
-            if status == "empty":
+            box = dom.slice(lower[i], upper[i])
+            if box is None:
                 raise InfeasibleRelaxation(f"variable {i}: empty domain slice")
-            if status == "fixed":
+            if box[0] == box[1]:
                 fixed.append(i)
-                fixed_vals.append(payload)
+                fixed_vals.append(box[0])
             else:
                 free.append(i)
-                lo_f.append(payload[0])
-                up_f.append(payload[1])
+                lo_f.append(box[0])
+                up_f.append(box[1])
         free = np.array(free, dtype=int)
         fixed = np.array(fixed, dtype=int)
         xf = np.array(fixed_vals, dtype=float)
@@ -333,18 +301,13 @@ class ReducedProblem:
             if Ar.shape[0] and free.size:
                 # drop rows made dependent by the fixing; inconsistency
                 # means the node is empty
-                from scipy.linalg import qr as _qr
-                _, R, piv = _qr(Ar.T, mode="economic", pivoting=True)
-                diag = np.abs(np.diag(R)) if R.size else np.array([])
-                rtol = 1e-10 * max(1.0, diag[0] if diag.size else 1.0)
-                rank = int(np.sum(diag > rtol))
-                if rank < Ar.shape[0]:
+                rows, dropped = independent_rows(Ar, 1e-10)
+                if dropped:
                     sol, *_ = np.linalg.lstsq(Ar, br, rcond=None)
                     resid = np.abs(Ar @ sol - br).max(initial=0.0)
                     if resid > 1e-8 * max(b_scale, a_scale):
                         raise InfeasibleRelaxation("dependent equality rows "
                                                    "are inconsistent")
-                    rows = sorted(piv[:rank])
                     Ar, br = Ar[rows], br[rows]
         else:
             Ar = np.zeros((0, free.size))
@@ -407,22 +370,16 @@ class ReducedProblem:
             raise InfeasibleRelaxation("box and equality rows are disjoint")
 
     def hull_coeffs(self):
-        """Node-level secant coefficients (slope, intercept) per free var."""
-        slope = np.empty(self.n_free)
-        intercept = np.empty(self.n_free)
-        for k, i in enumerate(self.free):
-            dom = self.inst.domains[i]
-            if dom.kind in ("binary", "two_point"):
-                a, b = dom.points
-            else:
-                a, b = self.lower[k], self.upper[k]
-            slope[k] = a + b
-            intercept[k] = -a * b
-        return slope, intercept
+        """Node-level secant coefficients (slope, intercept) per free var.
+
+        A free two-point slice spans its original (L, U), so its secant is
+        the domain's own.
+        """
+        return self.lower + self.upper, -self.lower * self.upper
 
     def square_mask(self):
         """Free variables whose lower hull is x**2 (explicit y needed)."""
-        return np.array([self.inst.domains[i].kind in SQUARE_HULL_KINDS
+        return np.array([not self.inst.domains[i].two_point
                          for i in self.free], dtype=bool)
 
     def expand_x(self, x_free) -> np.ndarray:
@@ -763,13 +720,11 @@ class CuttingSurfaceResult:
     initial_bound: float        # single-perturbation (spectral) bound
     bound_history: list
     cuts_added: int
-    separation_traces: list | None = None
 
 
 def cutting_surface(instance: MiqpInstance, alpha: float, max_cuts: int = 20,
                     mode: str = "smooth",
-                    sep_config: SeparationConfig | None = None,
-                    collect_traces: bool = False) -> CuttingSurfaceResult:
+                    sep_config: SeparationConfig | None = None) -> CuttingSurfaceResult:
     """Cutting-surface loop: grow a cut pool until violation dries up.
 
     Starts from the uniform spectral perturbation, then alternates QCP
@@ -793,7 +748,6 @@ def cutting_surface(instance: MiqpInstance, alpha: float, max_cuts: int = 20,
     init = solve_qp_child(instance, d0, (instance.lower, instance.upper))
     bound = init.value
     history = [bound]
-    traces = [] if collect_traces else None
 
     sol = None
     try:
@@ -808,7 +762,7 @@ def cutting_surface(instance: MiqpInstance, alpha: float, max_cuts: int = 20,
     cuts_added = 0
     if sol is not None and red.n_free:
         base_cfg = sep_config or SeparationConfig()
-        cfg = replace(base_cfg, trace=collect_traces,
+        cfg = replace(base_cfg, trace=False,
                       rho0=base_cfg.rho0 if base_cfg.rho0 is not None
                       else rho_init(red.Qr, red.lower, red.upper))
         for _ in range(max_cuts):
@@ -819,8 +773,6 @@ def cutting_surface(instance: MiqpInstance, alpha: float, max_cuts: int = 20,
                                      eta=eta_f)
             sep = solve_smooth(sep_in, cfg) if mode == "smooth" \
                 else solve_nonsmooth(sep_in, cfg)
-            if traces is not None and sep.trace:
-                traces.append(sep.trace)
             mu0 = float(d0[0])
             d_new = np.full(instance.n, mu0)
             d_new[red.free] = sep.d
@@ -845,5 +797,4 @@ def cutting_surface(instance: MiqpInstance, alpha: float, max_cuts: int = 20,
                                 solution=sol if sol is not None else init,
                                 initial_bound=init.value,
                                 bound_history=history,
-                                cuts_added=cuts_added,
-                                separation_traces=traces)
+                                cuts_added=cuts_added)

@@ -318,9 +318,11 @@ def test_09_smooth_vs_nonsmooth(tmp_path):
     for i in range(120):
         fam = FAMILIES[i % 3]
         n = 4 + (i % 5)
-        p = tmp_path / f"cmp{i:03d}.json"
-        save_instance(generate_instance(fam, n, 0.8, 9000 + i), p)
-        items.append({"path": str(p)})
+        name = f"cmp{i:03d}.json"
+        save_instance(generate_instance(fam, n, 0.8, 9000 + i), tmp_path / name)
+        # bare names resolve against the manifest's directory, so the CSV
+        # reads the same on every run
+        items.append({"path": name})
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"instances": items}))
     out = ARTIFACTS / "smooth_vs_nonsmooth.csv"

@@ -6,6 +6,7 @@ import pytest
 from quadrelax.linalg import (
     InverseState,
     factor_inverse,
+    independent_rows,
     min_eigenvalue,
     min_generalized_eigenvalue,
     nullspace_basis,
@@ -42,6 +43,34 @@ class TestNullspace:
     def test_full_column_rank_gives_empty_basis(self):
         basis = nullspace_basis(np.eye(3))
         assert basis.dim == 0
+
+
+class TestIndependentRows:
+    def test_full_rank_keeps_every_row(self):
+        kept, dropped = independent_rows(np.array([[1.0, 0.0, 1.0],
+                                                   [0.0, 1.0, 1.0]]), 1e-10)
+        assert (kept, dropped) == ([0, 1], [])
+
+    def test_dependent_row_dropped(self):
+        A = np.array([[1.0, 2.0, 0.0],
+                      [2.0, 4.0, 0.0],
+                      [0.0, 1.0, 1.0]])
+        kept, dropped = independent_rows(A, 1e-10)
+        assert len(kept) == 2 and len(dropped) == 1
+        assert sorted(kept + dropped) == [0, 1, 2]
+        assert dropped[0] in (0, 1)
+        assert np.linalg.matrix_rank(A[kept]) == 2
+
+    def test_more_rows_than_columns(self):
+        A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        kept, dropped = independent_rows(A, 1e-10)
+        assert len(kept) == 2 and len(dropped) == 1
+
+    def test_threshold_scales_with_leading_pivot(self):
+        # a second row off the first by 1e-9 counts at tol 1e-12 only
+        A = np.array([[1.0, 0.0], [1.0, 1e-9]])
+        assert independent_rows(A, 1e-12)[1] == []
+        assert len(independent_rows(A, 1e-8)[1]) == 1
 
 
 class TestEigenvalues:

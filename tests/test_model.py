@@ -1,6 +1,8 @@
-"""Instance representation: hulls, objective, feasibility, file round-trip."""
+"""Instance representation: domains, hulls, objective, feasibility, file round-trip."""
 
+import ast
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -25,6 +27,12 @@ def make_instance(Q, q, A=None, b=None, domains=None):
     if domains is None:
         domains = [VariableDomain("interval", -1.0, 1.0)] * n
     return MiqpInstance.from_arrays(Q, q, A, b, domains)
+
+
+INTERVAL = VariableDomain("interval", -1, 2)
+BINARY = VariableDomain("binary", 0, 1)
+TWO_POINT = VariableDomain("two_point", 1, 3)
+INTEGER = VariableDomain("integer_range", 0, 5)
 
 
 class TestDomains:
@@ -53,6 +61,87 @@ class TestDomains:
         assert VariableDomain("binary", 0, 1).nearest_point(0.4) == 0.0
         assert VariableDomain("two_point", 1, 3).nearest_point(2.2) == 3.0
         assert VariableDomain("integer_range", 0, 5).nearest_point(2.6) == 3.0
+
+    @pytest.mark.parametrize("dom, two_point", [
+        (INTERVAL, False), (BINARY, True), (TWO_POINT, True), (INTEGER, False),
+    ])
+    def test_two_point(self, dom, two_point):
+        assert dom.two_point is two_point
+        assert dom.is_discrete is (dom.kind != "interval")
+
+    @pytest.mark.parametrize("dom, lo, hi, expected", [
+        (INTERVAL, -5.0, 5.0, None),
+        (BINARY, -1.0, 2.0, [0.0, 1.0]),
+        (BINARY, 0.5, 1.0, [1.0]),
+        (BINARY, 0.2, 0.8, []),
+        (TWO_POINT, 1.0 + 5e-10, 2.0, [1.0]),
+        (TWO_POINT, 1.0 + 2e-9, 2.0, []),
+        (INTEGER, 0.5, 3.0 + 5e-10, [1.0, 2.0, 3.0]),
+        (INTEGER, 1.0 + 5e-10, 3.0 - 2e-9, [1.0, 2.0]),
+        (INTEGER, -3.0, 10.0, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
+        (INTEGER, 2.2, 2.8, []),
+    ])
+    def test_admissible(self, dom, lo, hi, expected):
+        pts = dom.admissible(lo, hi)
+        if expected is None:
+            assert pts is None
+        else:
+            assert list(pts) == expected
+
+    @pytest.mark.parametrize("dom, lo, hi, expected", [
+        # empty slices
+        (INTERVAL, 2.0 + 2e-9, 4.0, None),
+        (BINARY, 0.3, 0.7, None),
+        (TWO_POINT, 1.5, 2.5, None),
+        (INTEGER, 2.2, 2.8, None),
+        # one value left; an interval narrower than 1e-12 is fixed at its
+        # midpoint, also when it lies just beyond U within the 1e-9 slack
+        (BINARY, 0.0, 0.0, (0.0, 0.0)),
+        (TWO_POINT, 2.0, 3.0, (3.0, 3.0)),
+        (INTEGER, 2.0 - 5e-10, 2.0 + 5e-10, (2.0, 2.0)),
+        (INTERVAL, 0.5, 0.5 + 5e-13, (0.5 * (1.0 + 5e-13),) * 2),
+        (INTERVAL, 2.0 + 5e-10, 4.0, (0.5 * (4.0 + 5e-10),) * 2),
+        # a free two-point slice keeps (L, U)
+        (BINARY, -1.0, 2.0, (0.0, 1.0)),
+        (TWO_POINT, 1.0 - 5e-10, 3.0 + 5e-10, (1.0, 3.0)),
+        # integer bounds with 1e-9 slack
+        (INTEGER, 1.0 + 5e-10, 4.0 - 5e-10, (1.0, 4.0)),
+        (INTEGER, 1.0 + 2e-9, 4.0 - 2e-9, (2.0, 3.0)),
+        (INTEGER, -3.0, 10.0, (0.0, 5.0)),
+        # an interval is intersected with the box
+        (INTERVAL, -2.0, 1.0, (-1.0, 1.0)),
+    ])
+    def test_slice(self, dom, lo, hi, expected):
+        assert dom.slice(lo, hi) == expected
+
+    @pytest.mark.parametrize("dom, lo, hi, x, expected", [
+        (BINARY, 0.0, 1.0, 0.4, [(0.0, 0.0), (1.0, 1.0)]),
+        (TWO_POINT, 1.0, 3.0, 2.9, [(1.0, 1.0), (3.0, 3.0)]),
+        (INTEGER, 0.0, 5.0, 2.6, [(0.0, 2.0), (3.0, 5.0)]),
+        # at the integer edge the split point stays inside the range
+        (INTEGER, 0.0, 5.0, 5.0, [(0.0, 4.0), (5.0, 5.0)]),
+        (INTEGER, 0.0, 5.0, -0.3, [(0.0, 0.0), (1.0, 5.0)]),
+        (INTERVAL, -1.0, 2.0, 0.5, [(-1.0, 0.5), (0.5, 2.0)]),
+        # the interval split is clamped to 10% of the width from either end
+        (INTERVAL, 0.0, 2.0, 0.05, [(0.0, 0.2), (0.2, 2.0)]),
+        (INTERVAL, 0.0, 2.0, 1.95, [(0.0, 1.8), (1.8, 2.0)]),
+    ])
+    def test_split(self, dom, lo, hi, x, expected):
+        assert dom.split(lo, hi, x) == expected
+
+
+def test_only_model_reads_domain_kind():
+    # VariableDomain is the one place that knows the domain kinds; every
+    # other module asks it through its methods.
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "src" / "quadrelax"
+    readers = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "kind"]
+    assert readers == []
 
 
 class TestHulls:

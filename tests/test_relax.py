@@ -212,7 +212,8 @@ class TestQpChild:
             sol = solve_qp_child(inst, d0, (inst.lower, inst.upper))
             best = np.inf
             import itertools
-            for pt in itertools.product(*[d.points for d in inst.domains]):
+            for pt in itertools.product(*[d.admissible(d.L, d.U)
+                                           for d in inst.domains]):
                 x = np.array(pt)
                 best = min(best, float(x @ inst.Q @ x + inst.q @ x))
             assert sol.value <= best + 1e-7 * max(1.0, abs(best))
