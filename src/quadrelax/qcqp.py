@@ -3,14 +3,17 @@
 Solves
 
     min  1/2 z^T P0 z + c0^T z + r0
-    s.t. g_j(z) = 1/2 z^T P_j z + a_j^T z + r_j <= 0,   j = 1..p,
+    s.t. g_j(z) = 1/2 z^T P_j z + a_j^T z + r_j <= 0,   j = 1..q,
+         G z + h <= 0,
 
-with P0 and every P_j symmetric positive semidefinite (P_j = None encodes a
-linear row).  A Mehrotra predictor-corrector scheme with an infeasible
-start; the Newton systems eliminate the slack and multiplier blocks down to
-a single symmetric positive definite solve per iteration.  Non-optimal
-exits return the best iterate seen, so callers can still certify it
-against their own residual thresholds.
+with P0 and every P_j symmetric positive semidefinite.  Each quadratic row
+is a QuadConstraint; the linear rows are one matrix block (G, h).
+Multipliers come back in that order: quadratic rows first, then the rows of
+G.  A Mehrotra predictor-corrector scheme with an infeasible start; the
+Newton systems eliminate the slack and multiplier blocks down to a single
+symmetric positive definite solve per iteration.  Non-optimal exits return
+the best iterate seen, so callers can still certify it against their own
+residual thresholds.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadConstraint:
-    """One constraint 1/2 z^T P z + a^T z + r <= 0 (P=None for linear)."""
+    """One quadratic row 1/2 z^T P z + a^T z + r <= 0 (P symmetric PSD)."""
 
-    P: np.ndarray | None
+    P: np.ndarray
     a: np.ndarray
     r: float
 
@@ -48,18 +51,16 @@ class IpmResult:
     gap: float
 
 
-def _eval_constraints(cons, z):
-    p = len(cons)
-    g = np.empty(p)
-    J = np.empty((p, z.shape[0]))
+def _eval_constraints(cons, G, h, z):
+    q = len(cons)
+    g = np.empty(q + G.shape[0])
+    J = np.empty((g.shape[0], z.shape[0]))
     for j, c in enumerate(cons):
-        if c.P is None:
-            g[j] = c.a @ z + c.r
-            J[j] = c.a
-        else:
-            Pz = c.P @ z
-            g[j] = 0.5 * (z @ Pz) + c.a @ z + c.r
-            J[j] = Pz + c.a
+        Pz = c.P @ z
+        g[j] = 0.5 * (z @ Pz) + c.a @ z + c.r
+        J[j] = Pz + c.a
+    g[q:] = G @ z + h
+    J[q:] = G
     return g, J
 
 
@@ -101,7 +102,7 @@ def _fraction_to_boundary(x, dx, frac=0.995):
     return min(1.0, frac * np.min(-x[neg] / dx[neg]))
 
 
-def solve_qcqp(P0, c0, r0, constraints, z0=None,
+def solve_qcqp(P0, c0, r0, constraints, G=None, h=None, z0=None,
                tol_gap=1e-11, tol_feas=1e-10, max_iter=150) -> IpmResult:
     """Minimize a convex quadratic objective under convex quadratic rows.
 
@@ -109,7 +110,9 @@ def solve_qcqp(P0, c0, r0, constraints, z0=None,
     ----------
     P0, c0, r0 : objective data (P0 symmetric PSD; r0 a constant offset).
     constraints : sequence of QuadConstraint
-        Each row must be convex (P_j PSD or None).
+        The quadratic rows; each must be convex (P_j PSD).
+    G, h : array_like, optional
+        The linear rows G z + h <= 0 as an (m, n) block; None for none.
     z0 : array_like, optional
         Initial point (need not be feasible).
     tol_gap, tol_feas : float
@@ -121,14 +124,19 @@ def solve_qcqp(P0, c0, r0, constraints, z0=None,
     Returns
     -------
     IpmResult
-        Final point, multipliers (one per constraint, in order), objective
-        value, convergence status, and achieved residuals.
+        Final point, multipliers (one per quadratic row in order, then one
+        per row of G), objective value, convergence status, and achieved
+        residuals.
     """
     P0 = np.asarray(P0, dtype=float)
     c0 = np.asarray(c0, dtype=float).reshape(-1)
     n = c0.shape[0]
     cons = list(constraints)
-    p = len(cons)
+    G = np.zeros((0, n)) if G is None else np.asarray(G, dtype=float)
+    h = np.zeros(0) if h is None else np.asarray(h, dtype=float).reshape(-1)
+    if G.shape != (h.shape[0], n):
+        raise ValueError(f"G has shape {G.shape}; expected ({h.shape[0]}, {n})")
+    p = len(cons) + G.shape[0]
 
     if p == 0:
         z = np.linalg.lstsq(P0, -c0, rcond=None)[0] if n else np.zeros(0)
@@ -140,12 +148,14 @@ def solve_qcqp(P0, c0, r0, constraints, z0=None,
                          iterations=0, r_dual=rd, r_primal=0.0, gap=0.0)
 
     z = np.zeros(n) if z0 is None else np.array(z0, dtype=float).reshape(-1)
-    g, J = _eval_constraints(cons, z)
+    g, J = _eval_constraints(cons, G, h, z)
     s = np.maximum(1.0, np.abs(g) + 0.1)
     lam = np.ones(p)
 
     obj_scale = max(1.0, np.abs(c0).max(initial=0.0), np.abs(P0).max(initial=0.0))
-    row_scale = max(1.0, max(abs(c.r) + np.abs(c.a).max(initial=0.0) for c in cons))
+    row_scale = max(1.0, *(abs(c.r) + np.abs(c.a).max(initial=0.0) for c in cons),
+                    float(np.max(np.abs(h) + np.abs(G).max(axis=1, initial=0.0),
+                                 initial=0.0)))
 
     best = None          # (phi, z, lam, obj, rd, rp, mu, it)
     best_phi = np.inf
@@ -153,7 +163,7 @@ def solve_qcqp(P0, c0, r0, constraints, z0=None,
     status = "max_iter"
     it = 0
     for it in range(1, max_iter + 1):
-        g, J = _eval_constraints(cons, z)
+        g, J = _eval_constraints(cons, G, h, z)
         r_d = P0 @ z + c0 + J.T @ lam
         r_p = g + s
         mu = float(s @ lam) / p
@@ -179,7 +189,7 @@ def solve_qcqp(P0, c0, r0, constraints, z0=None,
 
         H = P0.copy()
         for j, c in enumerate(cons):
-            if c.P is not None and lam[j] != 0.0:
+            if lam[j] != 0.0:
                 H += lam[j] * c.P
         K = H + (J.T * (lam / s)) @ J
         fac, K_used = _factor_with_reg(K)
@@ -205,8 +215,7 @@ def solve_qcqp(P0, c0, r0, constraints, z0=None,
         r_p_c = r_p.copy()
         step_aff = a_aff * dz_aff
         for j, c in enumerate(cons):
-            if c.P is not None:
-                r_p_c[j] += 0.5 * step_aff @ (c.P @ step_aff)
+            r_p_c[j] += 0.5 * step_aff @ (c.P @ step_aff)
         rhs = -(r_d + J.T @ ((lam * r_p_c - rc) / s))
         dz = _refined_solve(fac, K_used, K, rhs)
         ds = -r_p_c - J @ dz
@@ -224,7 +233,7 @@ def solve_qcqp(P0, c0, r0, constraints, z0=None,
             z_new = z + a * dz
             s_new = s + a * ds
             lam_new = lam + a * dl
-            g_new, J_new = _eval_constraints(cons, z_new)
+            g_new, J_new = _eval_constraints(cons, G, h, z_new)
             phi_new = (np.abs(P0 @ z_new + c0 + J_new.T @ lam_new).max(initial=0.0)
                        + np.abs(g_new + s_new).max(initial=0.0)
                        + float(s_new @ lam_new) / p)
@@ -237,7 +246,7 @@ def solve_qcqp(P0, c0, r0, constraints, z0=None,
         z_b, lam_b, obj_b, rd_b, rp_b, mu_b, it_b = best
         return IpmResult(z=z_b, lam=lam_b, obj=obj_b, status=status,
                          iterations=it, r_dual=rd_b, r_primal=rp_b, gap=mu_b)
-    g, J = _eval_constraints(cons, z)
+    g, J = _eval_constraints(cons, G, h, z)
     r_d = P0 @ z + c0 + J.T @ lam
     r_p = g + s
     mu = float(s @ lam) / p

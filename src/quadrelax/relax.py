@@ -152,7 +152,6 @@ class RelaxationSolution:
     quad_value: float = 0.0
     cut_multipliers: np.ndarray | None = None
     kkt_residual: float = 0.0
-    iterations: int = 0
 
     def feasibility_error(self, inst: MiqpInstance) -> float:
         """Max violation of Ax=b, box, and hull membership (for tests)."""
@@ -428,9 +427,8 @@ def solve_qp_child(instance: MiqpInstance, d, node_bounds,
     Raises InfeasibleRelaxation for empty nodes and SolveFailure when the
     subproblem solve misses KKT certification.
     """
-    lower, upper = node_bounds
     if red is None:
-        red = ReducedProblem.build(instance, lower, upper)
+        red = ReducedProblem.build(instance, *node_bounds)
     d_f = red.restrict(d)
     if red.n_free == 0:
         return _all_fixed_solution(red)
@@ -449,29 +447,19 @@ def solve_qp_child(instance: MiqpInstance, d, node_bounds,
         x_f = red.x_hat
         if np.any(x_f < red.lower - 1e-8) or np.any(x_f > red.upper + 1e-8):
             raise InfeasibleRelaxation("unique equality solution outside box")
-        z_opt = np.zeros(0)
         value = float(x_f @ H @ x_f + lin @ x_f) + const
         result = None
     else:
         P0 = 2.0 * (Z.T @ H @ Z)
         c0 = Z.T @ (2.0 * (H @ red.x_hat) + lin)
         r0 = float(red.x_hat @ H @ red.x_hat + lin @ red.x_hat) + const
-        cons = []
-        for k in range(red.n_free):
-            zk = Z[k]
-            if np.abs(zk).max(initial=0.0) <= 1e-12:
-                continue  # pinned by equalities; checked at build time
-            cons.append(qcqp.QuadConstraint(None, zk.copy(),
-                                            float(red.x_hat[k] - red.upper[k])))
-            cons.append(qcqp.QuadConstraint(None, -zk.copy(),
-                                            float(red.lower[k] - red.x_hat[k])))
+        G, h = _box_rows(red, Z.shape[1])
         mid = 0.5 * (red.lower + red.upper)
         z0 = Z.T @ (mid - red.x_hat)
-        result = qcqp.solve_qcqp(P0, c0, r0, cons, z0=z0,
+        result = qcqp.solve_qcqp(P0, c0, r0, [], G, h, z0=z0,
                                  **(ipm_opts or {}))
         _require_kkt(result, c0)
-        z_opt = result.z
-        x_f = red.x_hat + Z @ z_opt
+        x_f = red.x_hat + Z @ result.z
         value = result.obj
 
     # same roundoff guard as the epigraph path: x can sit ~1e-10 outside
@@ -484,8 +472,7 @@ def solve_qp_child(instance: MiqpInstance, d, node_bounds,
     return RelaxationSolution(
         x=x, y=y, value=value, quad_value=quad,
         kkt_residual=0.0 if result is None else max(result.r_dual,
-                                                    result.r_primal),
-        iterations=0 if result is None else result.iterations)
+                                                    result.r_primal))
 
 
 def solve_eigenvalue_relaxation(instance: MiqpInstance, mu: float) -> RelaxationSolution:
@@ -499,6 +486,24 @@ def solve_eigenvalue_relaxation(instance: MiqpInstance, mu: float) -> Relaxation
         raise ValueError("mu must be nonnegative")
     d = np.full(instance.n, float(mu))
     return solve_qp_child(instance, d, (instance.lower, instance.upper))
+
+
+def _box_rows(red: ReducedProblem, width: int):
+    """Box rows lower <= x_hat + Z z <= upper as one block G w + h <= 0.
+
+    w has `width` entries, z first.  Coordinates the equalities pin (zero
+    row of Z) get no rows; the build already checked them.
+    """
+    Z = red.basis.Z
+    keep = np.abs(Z).max(axis=1, initial=0.0) > 1e-12
+    Zk = Z[keep]
+    G = np.zeros((2 * Zk.shape[0], width))
+    G[0::2, :Z.shape[1]] = Zk
+    G[1::2, :Z.shape[1]] = -Zk
+    h = np.empty(G.shape[0])
+    h[0::2] = red.x_hat[keep] - red.upper[keep]
+    h[1::2] = red.lower[keep] - red.x_hat[keep]
+    return G, h
 
 
 def _require_kkt(result: qcqp.IpmResult, c0) -> None:
@@ -518,16 +523,17 @@ def _require_kkt(result: qcqp.IpmResult, c0) -> None:
 class QcpModel:
     """Assembled epigraph model over nullspace coordinates.
 
-    Variables z = (x_z, y_square, v); constraint list starts with one row
-    per pool cut (multiplier extraction relies on that order).
+    Variables z = (x_z, y_square, v).  The quadratic rows start with one
+    row per pool cut (multiplier extraction relies on that order), then the
+    lower hulls; the upper hulls and the box rows form the block G z + h <= 0.
     """
 
     red: ReducedProblem
-    pool: CutPool
-    P0: np.ndarray
     c0: np.ndarray
     r0: float
     constraints: list
+    G: np.ndarray
+    h: np.ndarray
     n_cuts: int
     nz: int
     sq_idx: np.ndarray      # positions (in free order) with explicit y
@@ -535,21 +541,20 @@ class QcpModel:
 
 
 def assemble_qcp(instance: MiqpInstance, cut_pool: CutPool,
-                 node_bounds=None) -> QcpModel:
+                 red: ReducedProblem | None = None) -> QcpModel:
     """Build the epigraph relaxation of a certified cut pool.
 
     min v + q^T x  s.t.  v >= x^T (Q + diag d) x - d^T y for each pool d,
     x = x_hat + Z x_z, hull rows for y, box rows for x.  y variables of
     binary/two-point coordinates are eliminated through their (equal)
-    hulls.
+    hulls.  red may carry the root reduction already built; otherwise it
+    is built here.
     """
     if len(cut_pool) == 0:
         raise ValueError("cut pool is empty")
-    if node_bounds is None:
-        node_bounds = (instance.lower, instance.upper)
-    red = ReducedProblem.build(instance, node_bounds[0], node_bounds[1])
-    nf = red.n_free
-    if nf == 0:
+    if red is None:
+        red = ReducedProblem.build(instance, instance.lower, instance.upper)
+    if red.n_free == 0:
         raise InfeasibleRelaxation("no free variables; relaxation is a point")
     Z = red.basis.Z
     k = Z.shape[1]
@@ -559,7 +564,6 @@ def assemble_qcp(instance: MiqpInstance, cut_pool: CutPool,
     ny = sq_idx.shape[0]
     nz = k + ny + 1
     iv = nz - 1  # position of v
-    ypos = {int(f): k + j for j, f in enumerate(sq_idx)}
 
     # objective: v + q_free^T x + const (cross terms with fixed variables
     # live inside the cut rows, not the objective)
@@ -582,58 +586,44 @@ def assemble_qcp(instance: MiqpInstance, cut_pool: CutPool,
         P[:k, :k] = 2.0 * (Z.T @ M @ Z)
         a = np.zeros(nz)
         a[:k] = Z.T @ (2.0 * (M @ red.x_hat) + w)
-        for j, f in enumerate(sq_idx):
-            a[k + j] = -d_f[f]
+        a[k:iv] = -d_f[sq_idx]
         a[iv] = -1.0
         r = float(red.x_hat @ M @ red.x_hat + w @ red.x_hat) + cj
         cons.append(qcqp.QuadConstraint(P, a, r))
 
-    for f in sq_idx:
+    # lower hulls x_f^2 <= y_f
+    for j, f in enumerate(sq_idx):
         zrow = Z[f]
-        # lower hull x_f^2 <= y_f
         P = np.zeros((nz, nz))
         P[:k, :k] = 2.0 * np.outer(zrow, zrow)
         a = np.zeros(nz)
         a[:k] = 2.0 * red.x_hat[f] * zrow
-        a[ypos[int(f)]] = -1.0
+        a[k + j] = -1.0
         cons.append(qcqp.QuadConstraint(P, a, float(red.x_hat[f] ** 2)))
-        # upper hull y_f <= slope x_f + intercept
-        a = np.zeros(nz)
-        a[ypos[int(f)]] = 1.0
-        a[:k] -= slope[f] * zrow
-        cons.append(qcqp.QuadConstraint(
-            None, a, float(-slope[f] * red.x_hat[f] - intercept[f])))
 
-    for f in range(nf):
-        zrow = Z[f]
-        if np.abs(zrow).max(initial=0.0) <= 1e-12:
-            continue
-        a = np.zeros(nz)
-        a[:k] = zrow
-        cons.append(qcqp.QuadConstraint(None, a,
-                                        float(red.x_hat[f] - red.upper[f])))
-        a = np.zeros(nz)
-        a[:k] = -zrow
-        cons.append(qcqp.QuadConstraint(None, a,
-                                        float(red.lower[f] - red.x_hat[f])))
+    # upper hulls y_f <= slope x_f + intercept, then the box rows
+    G_hull = np.zeros((ny, nz))
+    G_hull[:, :k] = -slope[sq_idx, None] * Z[sq_idx]
+    G_hull[np.arange(ny), k + np.arange(ny)] = 1.0
+    G_box, h_box = _box_rows(red, nz)
+    G = np.vstack((G_hull, G_box))
+    h = np.concatenate((-slope[sq_idx] * red.x_hat[sq_idx] - intercept[sq_idx],
+                        h_box))
 
     # strictly interior-ish start
     mid = 0.5 * (red.lower + red.upper)
     z0 = np.zeros(nz)
     z0[:k] = Z.T @ (mid - red.x_hat)
     x0 = red.x_hat + Z @ z0[:k]
-    for j, f in enumerate(sq_idx):
-        u0 = slope[f] * x0[f] + intercept[f]
-        z0[k + j] = 0.5 * (x0[f] ** 2 + max(u0, x0[f] ** 2 + 0.1))
-    worst = -np.inf
-    for c in cons[:len(cut_pool)]:
-        val = 0.5 * z0 @ c.P @ z0 + c.a @ z0 + c.r
-        worst = max(worst, val + z0[iv])  # cut value before subtracting v
-    z0[iv] = worst + 1.0
+    x0s = x0[sq_idx]
+    u0 = slope[sq_idx] * x0s + intercept[sq_idx]
+    z0[k:iv] = 0.5 * (x0s ** 2 + np.maximum(u0, x0s ** 2 + 0.1))
+    # v starts above every cut value (z0[iv] is still 0 here)
+    z0[iv] = 1.0 + max(0.5 * z0 @ c.P @ z0 + c.a @ z0 + c.r
+                       for c in cons[:len(cut_pool)])
 
-    return QcpModel(red=red, pool=cut_pool, P0=np.zeros((nz, nz)), c0=c0,
-                    r0=r0, constraints=cons, n_cuts=len(cut_pool), nz=nz,
-                    sq_idx=sq_idx, z0=z0)
+    return QcpModel(red=red, c0=c0, r0=r0, constraints=cons, G=G, h=h,
+                    n_cuts=len(cut_pool), nz=nz, sq_idx=sq_idx, z0=z0)
 
 
 def solve_qcp(model: QcpModel) -> RelaxationSolution:
@@ -643,8 +633,9 @@ def solve_qcp(model: QcpModel) -> RelaxationSolution:
     surrogate root perturbation).  Raises SolveFailure with the best
     iterate when certification fails.
     """
-    result = qcqp.solve_qcqp(model.P0, model.c0, model.r0, model.constraints,
-                             z0=model.z0)
+    nz = model.nz
+    result = qcqp.solve_qcqp(np.zeros((nz, nz)), model.c0, model.r0,
+                             model.constraints, model.G, model.h, z0=model.z0)
     _require_kkt(result, model.c0)
     red = model.red
     Z = red.basis.Z
@@ -652,8 +643,7 @@ def solve_qcp(model: QcpModel) -> RelaxationSolution:
     x_f = red.x_hat + Z @ result.z[:k]
     slope, intercept = red.hull_coeffs()
     y_f = slope * x_f + intercept
-    for j, f in enumerate(model.sq_idx):
-        y_f[f] = result.z[k + j]
+    y_f[model.sq_idx] = result.z[k:-1]
     # keep y_f >= x_f**2 exact against roundoff: binary and two-point
     # coordinates sit on the secant, which dips below the parabola when x
     # lands a hair outside its box
@@ -668,8 +658,7 @@ def solve_qcp(model: QcpModel) -> RelaxationSolution:
     return RelaxationSolution(
         x=x, y=y, value=float(v + red.inst.q @ x), v=v, quad_value=quad,
         cut_multipliers=nu,
-        kkt_residual=max(result.r_dual, result.r_primal),
-        iterations=result.iterations)
+        kkt_residual=max(result.r_dual, result.r_primal))
 
 
 def cut_violation(d, solution: RelaxationSolution) -> float:
@@ -745,13 +734,14 @@ def cutting_surface(instance: MiqpInstance, alpha: float, max_cuts: int = 20,
     pool = CutPool(alpha=alpha, Q=instance.Q, basis=basis_full)
     pool.add(d0)
 
-    init = solve_qp_child(instance, d0, (instance.lower, instance.upper))
+    init = solve_qp_child(instance, d0, (instance.lower, instance.upper),
+                          red=red)
     bound = init.value
     history = [bound]
 
     sol = None
     try:
-        sol = solve_qcp(assemble_qcp(instance, pool))
+        sol = solve_qcp(assemble_qcp(instance, pool, red))
         pool.multipliers = sol.cut_multipliers
         bound = max(bound, sol.value)
     except SolveFailure:
@@ -781,7 +771,7 @@ def cutting_surface(instance: MiqpInstance, alpha: float, max_cuts: int = 20,
             pool.add(d_new)
             cuts_added += 1
             try:
-                sol_new = solve_qcp(assemble_qcp(instance, pool))
+                sol_new = solve_qcp(assemble_qcp(instance, pool, red))
             except SolveFailure:
                 warnings.warn("epigraph re-solve not certified; stopping "
                               "with the best prior bound")

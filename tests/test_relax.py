@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from quadrelax import qcqp
 from quadrelax.cli import generate_instance
 from quadrelax.linalg import nullspace_basis, projected_min_eigenvalue
 from quadrelax.model import MiqpInstance, VariableDomain
@@ -302,6 +303,32 @@ class TestQcp:
         assert sol.kkt_residual <= 1e-8 * max(1.0, abs(sol.value))
 
 
+class TestIpmContract:
+    def test_quadratic_rows_are_positional_argument_3(self, monkeypatch):
+        # perfbench/tracer.py tells linear-row from quadratic-row IPM solves
+        # by the rows passed as the 4th positional argument
+        calls = []
+        solve = qcqp.solve_qcqp
+
+        def record(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(qcqp, "solve_qcqp", record)
+        inst = diag_instance()
+        d0 = initial_perturbation(inst, 0.0)
+        solve_qp_child(inst, d0, (inst.lower, inst.upper))
+        assert len(calls) == 1 and list(calls[0][3]) == []
+
+        calls.clear()
+        pool = CutPool(alpha=0.0, Q=inst.Q, basis=nullspace_basis(None, 2))
+        pool.add(d0)
+        solve_qcp(assemble_qcp(inst, pool))
+        assert len(calls) == 1
+        rows = calls[0][3]
+        assert len(rows) > 0 and all(c.P is not None for c in rows)
+
+
 class TestCutViolation:
     def test_hand_values(self):
         sol = RelaxationSolution(x=np.array([1.0, 2.0]),
@@ -394,6 +421,20 @@ class TestCuttingSurface:
                               mode="smooth")
         assert res.cuts_added == 10
         assert np.all(res.solution.y >= res.solution.x ** 2)
+
+    def test_root_reduction_built_once(self, monkeypatch):
+        builds = []
+        build = ReducedProblem.build
+
+        def record(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(ReducedProblem, "build", staticmethod(record))
+        inst = random_instance(3, kinds=["interval"], max_m=0)
+        res = cutting_surface(inst, 0.0, max_cuts=4)
+        assert res.cuts_added >= 1
+        assert len(builds) == 1
 
     def test_zero_budget_returns_initial_bound(self):
         inst = saddle_instance()
