@@ -1,10 +1,15 @@
-"""Dense linear algebra kernels shared by the relaxation and separation code.
+"""Dense linear algebra kernels shared by the relaxation, separation and IPM code.
 
 Thin wrappers around LAPACK (via numpy/scipy) that pin down the exact
 conventions the rest of the package relies on: orthonormal nullspace bases,
-independent row subsets, smallest (generalized/projected) eigenvalues, and
-an incrementally updated inverse of a positive definite matrix under
-rank-one diagonal modifications.
+independent row subsets, smallest (generalized/projected) eigenvalues, one
+Cholesky factor/solve pair, and an incrementally updated inverse of a
+positive definite matrix under rank-one diagonal modifications.
+
+The Cholesky pair calls LAPACK ``dpotrf``/``dpotrs`` directly with the
+flags ``scipy.linalg.cho_factor``/``cho_solve`` pass, so its factors and
+solutions are byte-identical to theirs, without their per-call dispatch:
+the interior-point method factors and solves thousands of small systems.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "NullspaceBasis",
@@ -22,6 +28,8 @@ __all__ = [
     "min_eigenvalue",
     "min_generalized_eigenvalue",
     "projected_min_eigenvalue",
+    "cholesky_factor",
+    "cholesky_solve",
     "factor_inverse",
     "sherman_morrison_update",
     "psd_certificate",
@@ -150,6 +158,38 @@ def projected_min_eigenvalue(M, basis: NullspaceBasis) -> float:
     return min_eigenvalue(0.5 * (C + C.T))
 
 
+def cholesky_factor(M, lower: bool):
+    """Cholesky factor of a symmetric matrix, or None if it is not positive definite.
+
+    M is a float64 matrix; only the ``lower`` (or upper) triangle is read.
+    The other triangle of the returned factor keeps M's entries, as with
+    ``scipy.linalg.cho_factor``.  Non-finite entries raise ValueError.
+    """
+    if not np.isfinite(M).all():
+        raise ValueError("matrix must contain only finite numbers")
+    c, info = dpotrf(M, lower=lower, clean=0)
+    if info > 0:
+        return None
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return c
+
+
+def cholesky_solve(c, lower: bool, rhs):
+    """Solve M x = rhs from M's ``cholesky_factor`` c (same ``lower``).
+
+    rhs is a float64 vector or matrix; non-finite entries raise ValueError.
+    """
+    if not np.isfinite(rhs).all():
+        raise ValueError("right-hand side must contain only finite numbers")
+    if rhs.size == 0:
+        return np.empty_like(rhs)
+    x, info = dpotrs(c, rhs, lower=lower)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
+
+
 @dataclass
 class InverseState:
     """Tracked inverse V of a positive definite matrix M.
@@ -160,7 +200,7 @@ class InverseState:
     identity and V is refactored from M if the accumulated drift exceeds
     tolerance.  ``diag`` is a read-only view of V's diagonal, so it carries
     every update bit for bit at no cost; it is re-bound when a refactor
-    replaces V.
+    replaces V.  ``work`` is scratch space for the rank-one term.
     """
 
     M: np.ndarray
@@ -168,9 +208,11 @@ class InverseState:
     update_count: int = 0
     refactor_count: int = field(default=0, compare=False)
     diag: np.ndarray = field(init=False, repr=False, compare=False)
+    work: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.diag = self.V.diagonal()
+        self.work = np.empty_like(self.V)
 
     @property
     def n(self) -> int:
@@ -187,11 +229,10 @@ def factor_inverse(M) -> InverseState:
     Raises ValueError if M is not positive definite.
     """
     M = _as_symmetric_matrix(M)
-    try:
-        c, low = scipy.linalg.cho_factor(M)
-    except scipy.linalg.LinAlgError as e:
-        raise ValueError("matrix is not positive definite") from e
-    V = scipy.linalg.cho_solve((c, low), np.eye(M.shape[0]))
+    c = cholesky_factor(M, lower=False)
+    if c is None:
+        raise ValueError("matrix is not positive definite")
+    V = cholesky_solve(c, False, np.eye(M.shape[0]))
     V = 0.5 * (V + V.T)
     return InverseState(M=M.copy(), V=V)
 
@@ -211,8 +252,10 @@ def sherman_morrison_update(state: InverseState, i: int, delta: float) -> None:
     if denom <= 0.0:
         raise ValueError(
             f"update would lose positive definiteness (1 + delta*V_ii = {denom:.3e})")
-    vi = state.V[:, i].copy()
-    outer = np.multiply.outer(vi, vi)
+    # row i is column i: V stays exactly symmetric (it is symmetrised when
+    # factored and every update subtracts a symmetric outer product)
+    vi = state.V[i]
+    outer = np.multiply.outer(vi, vi, out=state.work)
     outer *= delta / denom
     state.V -= outer
     state.M[i, i] += delta

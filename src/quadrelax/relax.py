@@ -523,18 +523,20 @@ def _require_kkt(result: qcqp.IpmResult, c0) -> None:
 class QcpModel:
     """Assembled epigraph model over nullspace coordinates.
 
-    Variables z = (x_z, y_square, v).  The quadratic rows start with one
-    row per pool cut (multiplier extraction relies on that order), then the
-    lower hulls; the upper hulls and the box rows form the block G z + h <= 0.
+    Variables z = (x_z, y_square, v).  The quadratic rows are the pool
+    cuts, one per cut in pool order (multiplier extraction relies on that
+    order).  The lower hulls x_f**2 <= y_f are not quadratic rows but one
+    rank-one block ``squares``; the upper hulls and the box rows form the
+    block G z + h <= 0.
     """
 
     red: ReducedProblem
     c0: np.ndarray
     r0: float
     constraints: list
+    squares: qcqp.SquareBlock
     G: np.ndarray
     h: np.ndarray
-    n_cuts: int
     nz: int
     sq_idx: np.ndarray      # positions (in free order) with explicit y
     z0: np.ndarray
@@ -591,20 +593,18 @@ def assemble_qcp(instance: MiqpInstance, cut_pool: CutPool,
         r = float(red.x_hat @ M @ red.x_hat + w @ red.x_hat) + cj
         cons.append(qcqp.QuadConstraint(P, a, r))
 
-    # lower hulls x_f^2 <= y_f
-    for j, f in enumerate(sq_idx):
-        zrow = Z[f]
-        P = np.zeros((nz, nz))
-        P[:k, :k] = 2.0 * np.outer(zrow, zrow)
-        a = np.zeros(nz)
-        a[:k] = 2.0 * red.x_hat[f] * zrow
-        a[k + j] = -1.0
-        cons.append(qcqp.QuadConstraint(P, a, float(red.x_hat[f] ** 2)))
+    # lower hulls (x_hat_f + Z_f x_z)**2 - y_f <= 0
+    y_pos = (np.arange(ny), k + np.arange(ny))
+    S = np.zeros((ny, nz))
+    S[:, :k] = Z[sq_idx]
+    F = np.zeros((ny, nz))
+    F[y_pos] = -1.0
+    squares = qcqp.SquareBlock(S, red.x_hat[sq_idx], F, np.zeros(ny))
 
     # upper hulls y_f <= slope x_f + intercept, then the box rows
     G_hull = np.zeros((ny, nz))
     G_hull[:, :k] = -slope[sq_idx, None] * Z[sq_idx]
-    G_hull[np.arange(ny), k + np.arange(ny)] = 1.0
+    G_hull[y_pos] = 1.0
     G_box, h_box = _box_rows(red, nz)
     G = np.vstack((G_hull, G_box))
     h = np.concatenate((-slope[sq_idx] * red.x_hat[sq_idx] - intercept[sq_idx],
@@ -619,11 +619,10 @@ def assemble_qcp(instance: MiqpInstance, cut_pool: CutPool,
     u0 = slope[sq_idx] * x0s + intercept[sq_idx]
     z0[k:iv] = 0.5 * (x0s ** 2 + np.maximum(u0, x0s ** 2 + 0.1))
     # v starts above every cut value (z0[iv] is still 0 here)
-    z0[iv] = 1.0 + max(0.5 * z0 @ c.P @ z0 + c.a @ z0 + c.r
-                       for c in cons[:len(cut_pool)])
+    z0[iv] = 1.0 + max(0.5 * z0 @ c.P @ z0 + c.a @ z0 + c.r for c in cons)
 
-    return QcpModel(red=red, c0=c0, r0=r0, constraints=cons, G=G, h=h,
-                    n_cuts=len(cut_pool), nz=nz, sq_idx=sq_idx, z0=z0)
+    return QcpModel(red=red, c0=c0, r0=r0, constraints=cons, squares=squares,
+                    G=G, h=h, nz=nz, sq_idx=sq_idx, z0=z0)
 
 
 def solve_qcp(model: QcpModel) -> RelaxationSolution:
@@ -635,7 +634,8 @@ def solve_qcp(model: QcpModel) -> RelaxationSolution:
     """
     nz = model.nz
     result = qcqp.solve_qcqp(np.zeros((nz, nz)), model.c0, model.r0,
-                             model.constraints, model.G, model.h, z0=model.z0)
+                             model.constraints, model.G, model.h,
+                             squares=model.squares, z0=model.z0)
     _require_kkt(result, model.c0)
     red = model.red
     Z = red.basis.Z
@@ -654,7 +654,7 @@ def solve_qcp(model: QcpModel) -> RelaxationSolution:
     x = red.expand_x(x_f)
     y = red.expand_y(y_f)
     quad = float(x @ red.inst.Q @ x)
-    nu = np.maximum(result.lam[:model.n_cuts], 0.0)
+    nu = np.maximum(result.lam[:len(model.constraints)], 0.0)
     return RelaxationSolution(
         x=x, y=y, value=float(v + red.inst.q @ x), v=v, quad_value=quad,
         cut_multipliers=nu,

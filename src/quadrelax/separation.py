@@ -296,42 +296,54 @@ def _barrier_mu(base: np.ndarray) -> float:
     return mu
 
 
-def _min_norm_subgradient(a, b, sigma, v_diag):
-    """Minimum-norm element of [a_i, b_i] - sigma V_ii per coordinate, a <= b."""
-    sv = sigma * v_diag
-    return np.maximum(a - sv, np.minimum(b - sv, 0.0))
+def _min_norm_subgradient(a, b, sigma, v_diag, out, sv, work):
+    """Minimum-norm element of [a_i, b_i] - sigma V_ii per coordinate, a <= b.
+
+    Written into ``out`` through the buffers ``sv`` and ``work``.  When a is
+    b (the smooth solver) it is the gradient a - sigma V_ii itself, since
+    max(x, min(x, 0)) == x.
+    """
+    np.multiply(v_diag, sigma, out=sv)
+    np.subtract(a, sv, out=out)
+    if b is not a:
+        np.subtract(b, sv, out=work)
+        np.minimum(work, 0.0, out=work)
+        np.maximum(out, work, out=out)
 
 
 def _descend(inverse, d, a, b, sigma, step, objective, ref_norm, config,
              trace, done=0, rho=0.0, mu=None):
     """Coordinate descent from d, updating d, a, b and ``inverse`` in place.
 
-    a, b are the regularizer's left and right slopes at d.  ``step(i, d_i,
-    v_ii, sigma)`` returns the step along i and the new d_i, and refreshes
-    a[i], b[i].  With ``mu`` given, |d_i| > restart_factor * mu stops the run
-    before the inverse update.  Trace rows are numbered from ``done``.
-    Returns (status, steps, sigma): "converged", "max_iter" or "restart".
+    a, b are the regularizer's left and right slopes at d (the same array
+    for the smooth solver).  ``step(i, d_i, v_ii, sigma)`` returns the step
+    along i and the new d_i, and refreshes a[i], b[i].  With ``mu`` given,
+    |d_i| > restart_factor * mu stops the run before the inverse update.
+    Trace rows are numbered from ``done``.  Returns (status, steps, sigma):
+    "converged", "max_iter" or "restart".
     """
     max_iter = config.max_iter_per_var * d.size
     check_every = config.check_every * d.size
-    s = _min_norm_subgradient(a, b, sigma, inverse.diag)
+    s, sv, work = np.empty(d.size), np.empty(d.size), np.empty(d.size)
+    _min_norm_subgradient(a, b, sigma, inverse.diag, s, sv, work)
     g_prev = objective(d)
     d_max = float(np.abs(d).max())
     k = 0
     while k < max_iter:
         k += 1
-        i = int(np.abs(s).argmax())
+        np.abs(s, out=work)
+        i = int(work.argmax())
         delta, d_i = step(i, d.item(i), inverse.diag.item(i), sigma)
         d[i] = d_i
         d_max = max(d_max, abs(d_i))
         if mu is not None and check_restart(d_max, mu, config.restart_factor):
             return "restart", k, sigma
         sherman_morrison_update(inverse, i, delta)
-        s = _min_norm_subgradient(a, b, sigma, inverse.diag)
+        _min_norm_subgradient(a, b, sigma, inverse.diag, s, sv, work)
         new_sigma = update_sigma(sigma, math.sqrt(s.dot(s)), ref_norm, config)
         if new_sigma != sigma:
             sigma = new_sigma
-            s = _min_norm_subgradient(a, b, sigma, inverse.diag)
+            _min_norm_subgradient(a, b, sigma, inverse.diag, s, sv, work)
         if trace is not None:
             trace.append((done + k, i, delta, sigma, rho, objective(d)))
         if k % check_every == 0:

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from quadrelax.linalg import (
     InverseState,
+    cholesky_factor,
+    cholesky_solve,
     factor_inverse,
     independent_rows,
     min_eigenvalue,
@@ -126,6 +129,38 @@ class TestEigenvalues:
             min_eigenvalue([[0.0, 1.0], [0.0, 0.0]])
 
 
+class TestCholesky:
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_bitwise_equal_to_scipy_pair(self, lower):
+        rng = np.random.default_rng(4)
+        for n in (1, 3, 8, 31):
+            C = rng.normal(size=(n, n))
+            M = C @ C.T + 0.1 * np.eye(n)
+            c = cholesky_factor(M, lower)
+            ref = scipy.linalg.cho_factor(M, lower=lower)
+            assert c.tobytes() == ref[0].tobytes()
+            for rhs in (rng.normal(size=n), np.eye(n)):
+                assert cholesky_solve(c, lower, rhs).tobytes() == \
+                    scipy.linalg.cho_solve(ref, rhs).tobytes()
+
+    def test_not_positive_definite_gives_none(self):
+        assert cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]), True) is None
+        assert cholesky_factor(np.zeros((2, 2)), False) is None
+
+    def test_non_finite_input_raises(self):
+        M = 4.0 * np.eye(3)
+        M[2, 0] = M[0, 2] = np.nan  # LAPACK alone would not notice this one
+        with pytest.raises(ValueError, match="finite"):
+            cholesky_factor(M, True)
+        c = cholesky_factor(4.0 * np.eye(3), True)
+        with pytest.raises(ValueError, match="finite"):
+            cholesky_solve(c, True, np.array([1.0, np.inf, 0.0]))
+
+    def test_empty(self):
+        c = cholesky_factor(np.zeros((0, 0)), False)
+        assert cholesky_solve(c, False, np.eye(0)).shape == (0, 0)
+
+
 class TestInverseState:
     def test_factor_anchor(self):
         state = factor_inverse([[2.0, 1.0], [1.0, 2.0]])
@@ -135,6 +170,26 @@ class TestInverseState:
     def test_factor_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive definite"):
             factor_inverse([[1.0, 2.0], [2.0, 1.0]])
+
+    def test_factor_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            factor_inverse([[1.0, np.nan], [np.nan, 1.0]])
+
+    def test_v_stays_exactly_symmetric(self):
+        # sherman_morrison_update reads row i of V as column i
+        rng = np.random.default_rng(13)
+        n = 7
+        C = rng.normal(size=(n, n))
+        state = factor_inverse(C @ C.T + np.eye(n))
+        assert state.V.tobytes() == state.V.T.tobytes()
+        for _ in range(200):
+            sherman_morrison_update(state, int(rng.integers(n)),
+                                    float(rng.uniform(-0.2, 1.0)))
+            assert state.V.tobytes() == state.V.T.tobytes()
+        state.V[0, 0] += 0.5  # the next drift check refactors
+        while state.refactor_count == 0:
+            sherman_morrison_update(state, 1, 0.1)
+        assert state.V.tobytes() == state.V.T.tobytes()
 
     def test_update_matches_dense_inverse(self):
         rng = np.random.default_rng(5)
