@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -23,24 +23,18 @@ from scipy import optimize
 from .linalg import projected_min_eigenvalue
 from .model import MiqpInstance, evaluate_objective, is_feasible
 from .relax import (
-    _VIOLATION_TOL,
     InfeasibleRelaxation,
     ReducedProblem,
     RelaxationSolution,
     SolveFailure,
     cutting_surface,
     initial_perturbation,
+    next_cut,
     select_alpha,
     solve_qp_child,
     surrogate_root_perturbation,
 )
-from .separation import (
-    SeparationConfig,
-    SeparationInput,
-    eta_from_relaxation,
-    rho_init,
-    solve_smooth,
-)
+from .separation import SeparationConfig, solve_smooth
 
 __all__ = [
     "BnbConfig",
@@ -55,6 +49,10 @@ __all__ = [
 
 # IPM overrides for the one tightened retry after a failed certification
 _RETRY_OPTS = {"max_iter": 400, "tol_gap": 1e-13, "tol_feas": 1e-12}
+
+# separation at nodes runs on a reduced budget; one adequate cut is all a
+# node gets to use
+_NODE_SEP = SeparationConfig(max_iter_per_var=60, max_restarts=2)
 
 # slices with at most this many remaining discrete combinations are
 # enumerated exactly instead of relaxed
@@ -158,26 +156,27 @@ def _fold_slice(instance, node, red) -> NodeBound | None:
     vals = np.einsum("ij,jk,ik->i", X, red.Qr, X) + X @ red.qr + red.const
     k = int(np.argmin(vals))
     x = red.expand_x(X[k])
-    sol = RelaxationSolution(x=x, y=x ** 2, value=float(vals[k]),
+    value = float(vals[k])
+    sol = RelaxationSolution(x=x, y=x ** 2, value=value,
+                             v=value - float(instance.q @ x),
                              quad_value=float(x @ instance.Q @ x))
-    return NodeBound(float(vals[k]), node.d, sol, convex=True, exact=True)
+    return NodeBound(value, node.d, sol, convex=True, exact=True)
 
 
 def bound_node(instance: MiqpInstance, node: Node, alpha: float,
                separate: bool = True,
-               sep_config: SeparationConfig | None = None,
                prune_at: float = np.inf) -> NodeBound:
     """Bound one node: inherited-d QP, then a conditional separation pass.
 
     Slices with at most 512 remaining discrete combinations are enumerated
     exactly.  Convex slices (reduced Q PSD on the reduced nullspace) skip
     the perturbation machinery and solve the plain continuous relaxation.
-    Otherwise the first QP uses the inherited d; a single smooth
-    separation run then proposes d_new, and a second QP is solved only if
-    the new cut is violated at the first solution.  The larger bound wins
-    and its perturbation is what descendants inherit.  A first bound at or
-    above prune_at already fathoms the node, so the separation pass is
-    skipped there.
+    Otherwise the first QP uses the inherited d; one smooth separation
+    round (``relax.next_cut``, on a reduced budget) then proposes d_new,
+    and a second QP is solved only if the new cut is violated at the first
+    solution.  The larger bound wins and its perturbation is what
+    descendants inherit.  A first bound at or above prune_at already
+    fathoms the node, so the separation pass is skipped there.
 
     Raises InfeasibleRelaxation when the slice is empty.  A node whose
     QP misses KKT certification twice keeps the inherited bound
@@ -206,24 +205,10 @@ def bound_node(instance: MiqpInstance, node: Node, alpha: float,
     if not separate or sol1.value >= prune_at:
         return NodeBound(sol1.value, node.d, sol1)
 
-    eta_f = eta_from_relaxation(sol1.x[red.free], sol1.y[red.free])
-    if float(eta_f.max(initial=0.0)) <= 1e-12:
-        return NodeBound(sol1.value, node.d, sol1)
-
-    cfg = sep_config or SeparationConfig()
-    if cfg.rho0 is None:
-        cfg = replace(cfg, rho0=rho_init(red.Qr, red.lower, red.upper))
-    sep = solve_smooth(SeparationInput(Q=red.Qr, A=red.Ar, alpha=alpha,
-                                       eta=eta_f), cfg)
-    d_new = node.d.copy()
-    d_new[red.free] = sep.d
-
     # second solve only if the new cut is violated at the first solution
-    v_bar = sol1.value - float(instance.q @ sol1.x)
-    gain = sol1.quad_value + float(d_new @ (sol1.x ** 2 - sol1.y)) - v_bar
-    if gain > _VIOLATION_TOL * max(1.0, abs(v_bar)):
-        sol2 = _solve_child(instance, d_new, (node.lower, node.upper),
-                            red=red)
+    d_new = next_cut(red, alpha, sol1, node.d, solve_smooth, _NODE_SEP)
+    if d_new is not None:
+        sol2 = _solve_child(instance, d_new, bounds, red=red)
         if sol2 is not None and sol2.value >= sol1.value:
             return NodeBound(sol2.value, d_new, sol2)
     return NodeBound(sol1.value, node.d, sol1)
@@ -403,9 +388,6 @@ def solve(instance: MiqpInstance, config: BnbConfig | None = None) -> SolveRepor
     heap = []
     stack = []
     seq = itertools.count()
-    # separation at nodes runs on a reduced budget; one adequate cut is all
-    # a node gets to use
-    node_sep = SeparationConfig(max_iter_per_var=60, max_restarts=2)
     lbd = root_lb
     status = None
     if ubd - root_lb > cfg.abs_tol:
@@ -447,7 +429,6 @@ def solve(instance: MiqpInstance, config: BnbConfig | None = None) -> SolveRepor
                 # bound quality only matters once something can be pruned
                 nb = bound_node(instance, child, sel.alpha,
                                 separate=separate and np.isfinite(ubd),
-                                sep_config=node_sep,
                                 prune_at=ubd - cfg.abs_tol)
             except InfeasibleRelaxation:
                 nodes += 1

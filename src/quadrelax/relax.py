@@ -7,8 +7,11 @@ u_i}:
   relaxation, solvable after eliminating y;
 * a pool of perturbations d, each certified convex on the nullspace of A,
   gives the epigraph QCP  min v + q^T x,  v >= x^T (Q + diag d) x - d^T y;
-* the cutting-surface loop alternates QCP solves with separation runs that
-  mint the pool member most violated by the current relaxation point.
+* the cutting-surface loop starts from the spectral QP's solution (the
+  one-cut QCP over d = mu * ones, since mu > 0 puts every y on its
+  secant) and alternates separation rounds with QCP solves; each round
+  (``next_cut``) mints the pool member most violated by the current
+  relaxation point.
 
 All subproblem solutions pass a KKT certification filter before their
 bounds are trusted; failures degrade to the best previously certified
@@ -58,6 +61,7 @@ __all__ = [
     "solve_qp_child",
     "cutting_surface",
     "cut_violation",
+    "next_cut",
     "surrogate_root_perturbation",
 ]
 
@@ -112,11 +116,10 @@ class CutPool:
 
     Each stored cut keeps the projected matrix Z^T (Q + diag d) Z above
     -1e-6, which is the operative convexity requirement for the assembled
-    QCP.  ``multipliers`` are the per-cut values from the most recent QCP
-    solve (None until one happened).
+    QCP.  ``multipliers`` are the per-cut values from the last certified
+    relaxation solve (None until the cut loop sets them).
     """
 
-    alpha: float
     Q: np.ndarray
     basis: NullspaceBasis
     cuts: list = field(default_factory=list)
@@ -140,15 +143,16 @@ class CutPool:
 class RelaxationSolution:
     """KKT-certified solution of one convex relaxation, in full variables.
 
-    v is the epigraph value (None for QP-type relaxations whose y and v
-    were eliminated).  quad_value caches x^T Q x for cheap cut-violation
-    tests.  cut_multipliers holds one value per pool cut for QCP solves.
+    v is the epigraph value, value - q^T x (QP-type relaxations eliminate
+    y and v, and recover it this way).  quad_value caches x^T Q x for
+    cheap cut-violation tests.  cut_multipliers holds one value per pool
+    cut for QCP solves.
     """
 
     x: np.ndarray
     y: np.ndarray
     value: float
-    v: float | None = None
+    v: float
     quad_value: float = 0.0
     cut_multipliers: np.ndarray | None = None
     kkt_residual: float = 0.0
@@ -322,8 +326,6 @@ class ReducedProblem:
                                            f"(residual {resid:.3e})")
         else:
             x_hat = np.zeros(free.size)
-            if not free.size and br.size and np.abs(br).max() > 1e-8:
-                raise InfeasibleRelaxation("all variables fixed but Ax != b")
 
         red = ReducedProblem(inst=inst, free=free, fixed=fixed,
                              fixed_values=xf, lower=lo_f, upper=up_f,
@@ -405,8 +407,8 @@ def _all_fixed_solution(red: ReducedProblem) -> RelaxationSolution:
     x = red.expand_x(np.zeros(0))
     y = red.expand_y(np.zeros(0))
     quad = float(x @ red.inst.Q @ x)
-    value = quad + float(red.inst.q @ x)
-    return RelaxationSolution(x=x, y=y, value=value, quad_value=quad)
+    return RelaxationSolution(x=x, y=y, value=quad + float(red.inst.q @ x),
+                              v=quad, quad_value=quad)
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +446,8 @@ def solve_qp_child(instance: MiqpInstance, d, node_bounds,
 
     Z = red.basis.Z
     if Z.shape[1] == 0:
+        # every coordinate is pinned; the build checked x_hat against the box
         x_f = red.x_hat
-        if np.any(x_f < red.lower - 1e-8) or np.any(x_f > red.upper + 1e-8):
-            raise InfeasibleRelaxation("unique equality solution outside box")
         value = float(x_f @ H @ x_f + lin @ x_f) + const
         result = None
     else:
@@ -470,7 +471,8 @@ def solve_qp_child(instance: MiqpInstance, d, node_bounds,
     y = red.expand_y(y_f)
     quad = float(x @ instance.Q @ x)
     return RelaxationSolution(
-        x=x, y=y, value=value, quad_value=quad,
+        x=x, y=y, value=value, v=value - float(instance.q @ x),
+        quad_value=quad,
         kkt_residual=0.0 if result is None else max(result.r_dual,
                                                     result.r_primal))
 
@@ -667,11 +669,34 @@ def cut_violation(d, solution: RelaxationSolution) -> float:
     Returns x^T (Q + diag d) x - d^T y - v; the point is considered
     violated when this exceeds 1e-6 * max(1, |v|).
     """
-    if solution.v is None:
-        raise ValueError("cut violation needs an epigraph (QCP) solution")
     d = np.asarray(d, dtype=float).reshape(-1)
     return float(solution.quad_value
                  + d @ (solution.x ** 2 - solution.y) - solution.v)
+
+
+def next_cut(red: ReducedProblem, alpha: float, sol: RelaxationSolution,
+             d_fill, solver, config: SeparationConfig):
+    """One separation round at the relaxation point sol.
+
+    Runs solver (solve_smooth or solve_nonsmooth) on the slacks of the free
+    variables and embeds its d into a copy of d_fill, which supplies the
+    fixed coordinates.  Returns that cut when it violates sol by more than
+    1e-6 * max(1, |v|), else None (also when sol is exact on the free
+    variables, where no separation runs).  The solver runs with config's
+    other fields and the standard seed ``rho_init`` of the reduced problem
+    as rho0.
+    """
+    eta_f = eta_from_relaxation(sol.x[red.free], sol.y[red.free])
+    if float(eta_f.max(initial=0.0)) <= 1e-12:
+        return None  # relaxation is exact at this point
+    config = replace(config, rho0=rho_init(red.Qr, red.lower, red.upper))
+    sep = solver(SeparationInput(Q=red.Qr, A=red.Ar, alpha=alpha, eta=eta_f),
+                 config)
+    d = np.array(d_fill, dtype=float)
+    d[red.free] = sep.d
+    if cut_violation(d, sol) <= _VIOLATION_TOL * max(1.0, abs(sol.v)):
+        return None
+    return d
 
 
 def surrogate_root_perturbation(pool: CutPool) -> np.ndarray:
@@ -712,16 +737,18 @@ class CuttingSurfaceResult:
 
 
 def cutting_surface(instance: MiqpInstance, alpha: float, max_cuts: int = 20,
-                    mode: str = "smooth",
-                    sep_config: SeparationConfig | None = None) -> CuttingSurfaceResult:
+                    mode: str = "smooth") -> CuttingSurfaceResult:
     """Cutting-surface loop: grow a cut pool until violation dries up.
 
-    Starts from the uniform spectral perturbation, then alternates QCP
-    solves with separation runs (smooth or nonsmooth coordinate descent),
-    adding each new cut only when it violates the incumbent relaxation
-    point by more than 1e-6 * max(1, |v|).  The reported bound is the best
-    certified bound seen, so the sequence is non-decreasing even under
-    subproblem failures.
+    Starts from the spectral QP of the uniform perturbation d0 = mu * ones.
+    mu > 0 puts every y of the one-cut epigraph QCP over [d0] on its
+    secant, so that QP is the one-cut QCP, with multiplier 1.  The loop
+    then alternates separation rounds (smooth or nonsmooth coordinate
+    descent, see ``next_cut``) with QCP solves, adding each new cut only
+    when it violates the incumbent relaxation point by more than
+    1e-6 * max(1, |v|).  A cut whose QCP misses certification is dropped
+    and the loop stops, keeping the last certified solution and its
+    multipliers, so the bound sequence is non-decreasing.
     """
     if mode not in ("smooth", "nonsmooth"):
         raise ValueError(f"unknown separation mode {mode!r}")
@@ -730,61 +757,30 @@ def cutting_surface(instance: MiqpInstance, alpha: float, max_cuts: int = 20,
         raise ValueError("instance is convex on the nullspace; "
                          "solve the continuous relaxation instead")
     red = ReducedProblem.build(instance, instance.lower, instance.upper)
-    basis_full = nullspace_basis(instance.A, instance.n)
-    pool = CutPool(alpha=alpha, Q=instance.Q, basis=basis_full)
+    pool = CutPool(Q=instance.Q, basis=nullspace_basis(instance.A, instance.n))
     pool.add(d0)
+    sol = solve_qp_child(instance, d0, (instance.lower, instance.upper),
+                         red=red)
+    nu = np.ones(1)
+    history = [sol.value]
+    solver = solve_smooth if mode == "smooth" else solve_nonsmooth
+    for _ in range(max_cuts):
+        d_new = next_cut(red, alpha, sol, d0, solver, SeparationConfig())
+        if d_new is None:
+            break
+        pool.add(d_new)
+        try:
+            sol = solve_qcp(assemble_qcp(instance, pool, red))
+        except SolveFailure:
+            warnings.warn("epigraph re-solve not certified; stopping "
+                          "with the best prior bound")
+            pool.cuts.pop()
+            break
+        nu = sol.cut_multipliers
+        history.append(max(history[-1], sol.value))
+    pool.multipliers = nu
 
-    init = solve_qp_child(instance, d0, (instance.lower, instance.upper),
-                          red=red)
-    bound = init.value
-    history = [bound]
-
-    sol = None
-    try:
-        sol = solve_qcp(assemble_qcp(instance, pool, red))
-        pool.multipliers = sol.cut_multipliers
-        bound = max(bound, sol.value)
-    except SolveFailure:
-        warnings.warn("initial epigraph solve not certified; "
-                      "keeping the spectral bound")
-    history.append(bound)
-
-    cuts_added = 0
-    if sol is not None and red.n_free:
-        base_cfg = sep_config or SeparationConfig()
-        cfg = replace(base_cfg, trace=False,
-                      rho0=base_cfg.rho0 if base_cfg.rho0 is not None
-                      else rho_init(red.Qr, red.lower, red.upper))
-        for _ in range(max_cuts):
-            eta_f = eta_from_relaxation(sol.x[red.free], sol.y[red.free])
-            if float(eta_f.max(initial=0.0)) <= 1e-12:
-                break  # relaxation is exact at this point
-            sep_in = SeparationInput(Q=red.Qr, A=red.Ar, alpha=alpha,
-                                     eta=eta_f)
-            sep = solve_smooth(sep_in, cfg) if mode == "smooth" \
-                else solve_nonsmooth(sep_in, cfg)
-            mu0 = float(d0[0])
-            d_new = np.full(instance.n, mu0)
-            d_new[red.free] = sep.d
-            if cut_violation(d_new, sol) <= _VIOLATION_TOL * max(1.0, abs(sol.v)):
-                break
-            pool.add(d_new)
-            cuts_added += 1
-            try:
-                sol_new = solve_qcp(assemble_qcp(instance, pool, red))
-            except SolveFailure:
-                warnings.warn("epigraph re-solve not certified; stopping "
-                              "with the best prior bound")
-                pool.cuts.pop()
-                cuts_added -= 1
-                break
-            sol = sol_new
-            pool.multipliers = sol.cut_multipliers
-            bound = max(bound, sol.value)
-            history.append(bound)
-
-    return CuttingSurfaceResult(bound=bound, pool=pool,
-                                solution=sol if sol is not None else init,
-                                initial_bound=init.value,
+    return CuttingSurfaceResult(bound=history[-1], pool=pool, solution=sol,
+                                initial_bound=history[0],
                                 bound_history=history,
-                                cuts_added=cuts_added)
+                                cuts_added=len(history) - 1)

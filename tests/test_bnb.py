@@ -50,7 +50,8 @@ def root_node(inst, d=None, lb=-np.inf):
 
 def fake_sol(x, y):
     x = np.asarray(x, dtype=float)
-    return RelaxationSolution(x=x, y=np.asarray(y, dtype=float), value=0.0)
+    return RelaxationSolution(x=x, y=np.asarray(y, dtype=float), value=0.0,
+                              v=0.0)
 
 
 def rand_discrete(seed, n_lo=3, n_hi=9):
@@ -107,6 +108,16 @@ class TestExamples:
         assert rep.node_count == 1
         assert rep.upper_bound == pytest.approx(-1.25, abs=1e-7)
         assert rep.root_cuts == 0
+
+    def test_all_fixed_nonconvex(self):
+        # point domains under a nonconvex Q: the root cut loop bounds the
+        # point instead of calling the root empty
+        inst = make([[0.0, 2.0], [2.0, -1.0]], [0.0, 0.0], None, None,
+                    intervals(2, 1.0, 1.0))
+        rep = solve(inst)
+        assert rep.status == "optimal"
+        assert rep.upper_bound == pytest.approx(3.0, abs=1e-12)
+        assert rep.lower_bound == pytest.approx(3.0, abs=1e-12)
 
     def test_infeasible_rows(self):
         inst = make(np.eye(2), [0.0, 0.0], [[1.0, 1.0]], [5.0], binaries(2))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quadrelax import qcqp
+from quadrelax import qcqp, relax
 from quadrelax.cli import generate_instance
 from quadrelax.linalg import nullspace_basis, projected_min_eigenvalue
 from quadrelax.model import MiqpInstance, VariableDomain
@@ -12,6 +12,7 @@ from quadrelax.relax import (
     InfeasibleRelaxation,
     ReducedProblem,
     RelaxationSolution,
+    SolveFailure,
     assemble_qcp,
     cut_violation,
     cutting_surface,
@@ -239,7 +240,7 @@ class TestQpChild:
 class TestQcp:
     def test_empty_pool_rejected(self):
         inst = diag_instance()
-        pool = CutPool(alpha=0.0, Q=inst.Q, basis=nullspace_basis(None, 2))
+        pool = CutPool(Q=inst.Q, basis=nullspace_basis(None, 2))
         with pytest.raises(ValueError, match="empty"):
             assemble_qcp(inst, pool)
 
@@ -247,8 +248,7 @@ class TestQcp:
         for inst in (diag_instance(), saddle_instance()):
             sel = select_alpha(inst)
             d0 = initial_perturbation(inst, sel.alpha)
-            pool = CutPool(alpha=sel.alpha, Q=inst.Q,
-                           basis=nullspace_basis(inst.A, inst.n))
+            pool = CutPool(Q=inst.Q, basis=nullspace_basis(inst.A, inst.n))
             pool.add(d0)
             qcp = solve_qcp(assemble_qcp(inst, pool))
             spectral = solve_qp_child(inst, d0, (inst.lower, inst.upper))
@@ -259,7 +259,7 @@ class TestQcp:
         inst = MiqpInstance.from_arrays(
             np.array([[0.0, 3.0], [3.0, -2.0]]), np.zeros(2), None, None,
             [VariableDomain("binary", 0.0, 1.0)] * 2)
-        pool = CutPool(alpha=0.0, Q=inst.Q, basis=nullspace_basis(None, 2))
+        pool = CutPool(Q=inst.Q, basis=nullspace_basis(None, 2))
         pool.add(initial_perturbation(inst, 0.0))
         model = assemble_qcp(inst, pool)
         assert model.sq_idx.size == 0
@@ -276,7 +276,7 @@ class TestQcp:
     def test_duplicate_cut_multipliers_sum_consistently(self):
         inst = diag_instance()
         d0 = initial_perturbation(inst, 0.0)
-        pool = CutPool(alpha=0.0, Q=inst.Q, basis=nullspace_basis(None, 2))
+        pool = CutPool(Q=inst.Q, basis=nullspace_basis(None, 2))
         pool.add(d0)
         single = solve_qcp(assemble_qcp(inst, pool))
         pool.add(d0)
@@ -289,7 +289,7 @@ class TestQcp:
         inst = MiqpInstance.from_arrays(Q_SADDLE, np.zeros(2),
                                         np.array([[1.0, 1.0]]),
                                         np.array([5.0]), interval_box(2))
-        pool = CutPool(alpha=1.0, Q=inst.Q, basis=nullspace_basis(inst.A, 2))
+        pool = CutPool(Q=inst.Q, basis=nullspace_basis(inst.A, 2))
         pool.add(np.full(2, 4.0))
         with pytest.raises(InfeasibleRelaxation):
             assemble_qcp(inst, pool)
@@ -321,7 +321,7 @@ class TestIpmContract:
         assert len(calls) == 1 and list(calls[0][3]) == []
 
         calls.clear()
-        pool = CutPool(alpha=0.0, Q=inst.Q, basis=nullspace_basis(None, 2))
+        pool = CutPool(Q=inst.Q, basis=nullspace_basis(None, 2))
         pool.add(d0)
         solve_qcp(assemble_qcp(inst, pool))
         assert len(calls) == 1
@@ -337,16 +337,30 @@ class TestCutViolation:
         assert abs(cut_violation(np.array([2.0, 0.0]), sol) - 2.0) <= 1e-12
         assert abs(cut_violation(np.zeros(2), sol) - 1.0) <= 1e-12
 
-    def test_requires_epigraph_solution(self):
-        sol = RelaxationSolution(x=np.zeros(2), y=np.zeros(2), value=0.0)
-        with pytest.raises(ValueError, match="epigraph"):
-            cut_violation(np.zeros(2), sol)
+    def test_spectral_qp_is_one_cut_qcp(self):
+        # d0 = mu * ones with mu > 0 puts every y of the one-cut QCP on its
+        # secant, so the cut loop may start from the spectral QP instead
+        checked = 0
+        for family in ("boxqp", "binary_card", "eq_integer"):
+            for seed in range(3):
+                inst = generate_instance(family, 8, 0.8, 2201000 + seed)
+                d0 = initial_perturbation(inst, select_alpha(inst).alpha)
+                if d0 is None:
+                    continue
+                assert np.all(d0 > 0.0)
+                pool = CutPool(Q=inst.Q, basis=nullspace_basis(inst.A, inst.n))
+                pool.add(d0)
+                qcp = solve_qcp(assemble_qcp(inst, pool))
+                qp = solve_qp_child(inst, d0, (inst.lower, inst.upper))
+                assert abs(qcp.value - qp.value) <= 1e-8 * max(1.0,
+                                                               abs(qp.value))
+                checked += 1
+        assert checked >= 6
 
 
 class TestSurrogate:
     def test_weighted_average(self):
-        pool = CutPool(alpha=0.0, Q=np.zeros((2, 2)),
-                       basis=nullspace_basis(None, 2))
+        pool = CutPool(Q=np.zeros((2, 2)), basis=nullspace_basis(None, 2))
         pool.add(np.zeros(2))
         pool.add(np.full(2, 4.0))
         pool.multipliers = np.array([1.0, 3.0])
@@ -354,8 +368,7 @@ class TestSurrogate:
                                    np.full(2, 3.0), atol=1e-12)
 
     def test_degenerate_multipliers_take_largest(self):
-        pool = CutPool(alpha=0.0, Q=np.zeros((2, 2)),
-                       basis=nullspace_basis(None, 2))
+        pool = CutPool(Q=np.zeros((2, 2)), basis=nullspace_basis(None, 2))
         pool.add(np.full(2, 1.0))
         pool.add(np.full(2, 7.0))
         pool.multipliers = np.array([1e-14, 5e-14])
@@ -363,16 +376,14 @@ class TestSurrogate:
                                    np.full(2, 7.0))
 
     def test_no_multipliers_take_first(self):
-        pool = CutPool(alpha=0.0, Q=np.zeros((2, 2)),
-                       basis=nullspace_basis(None, 2))
+        pool = CutPool(Q=np.zeros((2, 2)), basis=nullspace_basis(None, 2))
         pool.add(np.full(2, 2.0))
         pool.add(np.full(2, 9.0))
         np.testing.assert_allclose(surrogate_root_perturbation(pool),
                                    np.full(2, 2.0))
 
     def test_empty_pool_rejected(self):
-        pool = CutPool(alpha=0.0, Q=np.zeros((2, 2)),
-                       basis=nullspace_basis(None, 2))
+        pool = CutPool(Q=np.zeros((2, 2)), basis=nullspace_basis(None, 2))
         with pytest.raises(ValueError, match="empty"):
             surrogate_root_perturbation(pool)
 
@@ -395,6 +406,7 @@ class TestCuttingSurface:
                 continue
             res = cutting_surface(inst, sel.alpha, max_cuts=10)
             h = res.bound_history
+            assert len(h) == res.cuts_added + 1
             for a, b in zip(h, h[1:]):
                 assert b >= a - 1e-9 * max(1.0, abs(a))
             assert res.bound >= res.initial_bound - 1e-9 * max(
@@ -435,6 +447,32 @@ class TestCuttingSurface:
         res = cutting_surface(inst, 0.0, max_cuts=4)
         assert res.cuts_added >= 1
         assert len(builds) == 1
+
+    def test_dropped_cut_keeps_last_multipliers(self, monkeypatch):
+        # a cut whose epigraph QCP misses certification is dropped; the pool
+        # must keep the last certified multipliers, or the surrogate falls
+        # back to d0 unannounced (seen on binary_card n=20 seed 2106300,
+        # whose third cut's QCP stalls)
+        certified = []
+        solve = relax.solve_qcp
+
+        def stall_at_three_cuts(model):
+            if len(model.constraints) == 3:
+                raise SolveFailure("forced")
+            certified.append(solve(model))
+            return certified[-1]
+
+        monkeypatch.setattr(relax, "solve_qcp", stall_at_three_cuts)
+        inst = generate_instance("binary_card", 12, 0.8, 7)
+        with pytest.warns(UserWarning, match="not certified"):
+            res = cutting_surface(inst, select_alpha(inst).alpha, max_cuts=4)
+        assert res.cuts_added == 1 and len(res.pool) == 2
+        assert res.solution is certified[-1]
+        nu = certified[-1].cut_multipliers
+        np.testing.assert_array_equal(res.pool.multipliers, nu)
+        np.testing.assert_allclose(
+            surrogate_root_perturbation(res.pool),
+            (nu[0] * res.pool.cuts[0] + nu[1] * res.pool.cuts[1]) / nu.sum())
 
     def test_zero_budget_returns_initial_bound(self):
         inst = saddle_instance()
@@ -516,5 +554,11 @@ class TestReducedProblem:
             np.eye(2), np.zeros(2),
             np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([5.0, 5.0]),
             interval_box(2))
-        with pytest.raises(InfeasibleRelaxation):
-            ReducedProblem.build(inst, inst.lower, inst.upper)
+        # all variables fixed with Ax != b: every row reduces to 0 = b_r
+        fixed = MiqpInstance.from_arrays(
+            np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0]),
+            [VariableDomain("binary", 0.0, 1.0)] * 2)
+        for inst, lower, upper in ((inst, inst.lower, inst.upper),
+                                   (fixed, np.ones(2), np.ones(2))):
+            with pytest.raises(InfeasibleRelaxation):
+                ReducedProblem.build(inst, lower, upper)
