@@ -1,11 +1,13 @@
-"""Finding the next diagonal perturbation with coordinate descent.
+"""Finding the next diagonal perturbation on a log-det barrier.
 
 A relaxation solution leaves slacks eta_i = y_i - x_i**2.  The most
 useful new perturbation d minimizes eta'd over all d that keep
 Q + diag(d) + alpha A'A positive semidefinite.  A log-det barrier keeps
-the iterates inside that set, each coordinate step is a closed form, and
-a quadratic regularizer (grown on restarts) guarantees the minimum is
-attained even when the unregularized problem drifts to infinity.
+the iterates inside that set.  The smooth solver adds a quadratic
+regularizer (grown on restarts), which guarantees the minimum is attained
+even when the unregularized problem drifts to infinity, and minimizes by
+damped Newton steps; the nonsmooth solver penalizes the positive part of
+d and moves one coordinate at a time by closed-form steps.
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ inp = SeparationInput(Q=Q, A=A, alpha=1.0, eta=np.array([0.25, 0.25]))
 res = solve_smooth(inp, SeparationConfig(rho0=1e-4))
 print(f"equal slacks:   d = ({res.d[0]:.4f}, {res.d[1]:.4f})"
       f"   eta.d = {res.d @ inp.eta:.4f}")
-print(f"  status {res.status}, {res.iterations} steps, "
+print(f"  status {res.status}, {res.iterations} Newton steps, "
       f"{res.restarts} restarts")
 
 # With eta = (0.24, 0) the second coordinate is free to grow without

@@ -678,13 +678,13 @@ def next_cut(red: ReducedProblem, alpha: float, sol: RelaxationSolution,
              d_fill, solver, config: SeparationConfig):
     """One separation round at the relaxation point sol.
 
-    Runs solver (solve_smooth or solve_nonsmooth) on the slacks of the free
-    variables and embeds its d into a copy of d_fill, which supplies the
-    fixed coordinates.  Returns that cut when it violates sol by more than
-    1e-6 * max(1, |v|), else None (also when sol is exact on the free
-    variables, where no separation runs).  The solver runs with config's
-    other fields and the standard seed ``rho_init`` of the reduced problem
-    as rho0.
+    Runs solver (solve_smooth, damped Newton, or solve_nonsmooth,
+    coordinate descent) on the slacks of the free variables and embeds its
+    d into a copy of d_fill, which supplies the fixed coordinates.  Returns
+    that cut when it violates sol by more than 1e-6 * max(1, |v|), else
+    None (also when sol is exact on the free variables, where no
+    separation runs).  The solver runs with config's other fields and the
+    standard seed ``rho_init`` of the reduced problem as rho0.
     """
     eta_f = eta_from_relaxation(sol.x[red.free], sol.y[red.free])
     if float(eta_f.max(initial=0.0)) <= 1e-12:
@@ -743,9 +743,9 @@ def cutting_surface(instance: MiqpInstance, alpha: float, max_cuts: int = 20,
     Starts from the spectral QP of the uniform perturbation d0 = mu * ones.
     mu > 0 puts every y of the one-cut epigraph QCP over [d0] on its
     secant, so that QP is the one-cut QCP, with multiplier 1.  The loop
-    then alternates separation rounds (smooth or nonsmooth coordinate
-    descent, see ``next_cut``) with QCP solves, adding each new cut only
-    when it violates the incumbent relaxation point by more than
+    then alternates separation rounds (smooth damped Newton or nonsmooth
+    coordinate descent, see ``next_cut``) with QCP solves, adding each new
+    cut only when it violates the incumbent relaxation point by more than
     1e-6 * max(1, |v|).  A cut whose QCP misses certification is dropped
     and the loop stops, keeping the last certified solution and its
     multipliers, so the bound sequence is non-decreasing.

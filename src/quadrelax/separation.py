@@ -1,26 +1,24 @@
-"""Coordinate-descent separation of diagonal perturbations.
+"""Separation of diagonal perturbations on a log-det barrier.
 
 Given a relaxation point with slacks eta_i = y_i - x_i**2 >= 0, a deeper
 cut is a diagonal d in the set D = {d : Q + diag(d) + alpha A^T A psd} that
-minimizes eta^T d.  Both solvers below run coordinate descent on a log-det
-barrier formulation
+minimizes eta^T d.  Both solvers minimize the barrier formulation
 
-    min  reg(d) - sigma * log det(Q + alpha A^T A + diag(d)),
+    min  reg(d) - sigma * log det(Q + alpha A^T A + diag(d))
 
-where reg is either the smooth quadratic eta^T d + rho ||d||^2 or the
-nonsmooth eta^T d + lambda sum(max(d_i, 0)) with lambda = sum(eta).  Every
-iterate keeps the barrier matrix positive definite, so any returned d is a
-member of D regardless of how early the iteration stops.
+along a decreasing path of sigma.  Every iterate keeps the barrier matrix
+positive definite, so any returned d is a member of D regardless of how
+early the iteration stops.
 
-Each coordinate step has a closed form: the best coordinate is the one
-with the largest gradient (or minimum-norm subgradient) component, and the
-exact one-dimensional minimizer along it is available analytically.  Both
-solvers run one loop that updates its state instead of rebuilding it: V =
-(Q + alpha A^T A + diag d)^-1 and its diagonal take one in-place
-Sherman-Morrison update per step, the regularizer's slopes a <= b change in
-entry i only, s = max(a - sigma diag V, min(b - sigma diag V, 0)) is both
-the smooth gradient and the minimum-norm subgradient, and the objective is
-evaluated only at convergence checks.
+``solve_smooth`` takes reg = eta^T d + rho ||d||^2 and runs damped Newton:
+with V = (Q + alpha A^T A + diag d)^-1 the gradient is eta + 2 rho d -
+sigma diag V and the Hessian 2 rho I + sigma V o V (elementwise product).
+
+``solve_nonsmooth`` takes reg = eta^T d + lambda sum(max(d_i, 0)) with
+lambda = sum(eta) and runs coordinate descent: each step moves the
+coordinate with the largest minimum-norm subgradient component to its
+exact one-dimensional minimizer, and V takes one in-place Sherman-Morrison
+update per step.
 """
 
 from __future__ import annotations
@@ -30,7 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import factor_inverse, min_eigenvalue, sherman_morrison_update
+from .linalg import (
+    cholesky_factor,
+    cholesky_solve,
+    factor_inverse,
+    min_eigenvalue,
+    sherman_morrison_update,
+)
 
 __all__ = [
     "SeparationInput",
@@ -40,7 +44,6 @@ __all__ = [
     "eta_from_relaxation",
     "rho_init",
     "sigma_init",
-    "select_index_smooth",
     "coordinate_step_smooth",
     "check_restart",
     "update_sigma",
@@ -122,15 +125,17 @@ class SeparationInput:
 
 @dataclass
 class SeparationConfig:
-    """Tuning constants of the coordinate-descent solvers.
+    """Tuning constants of the separation solvers.
 
     rho0 seeds the quadratic regularization weight of the smooth solver and
     must be set (``rho_init`` computes the standard seed from the problem
-    data).  The remaining fields default to the reference values.
+    data).  max_iter_per_var caps the moves of each variable: n times that
+    many coordinate steps (nonsmooth), or that many Newton steps per restart
+    round (smooth).  check_every is for the nonsmooth solver only.
     """
 
     rho0: float | None = None
-    max_iter_per_var: int = 500     # iteration cap is this times n
+    max_iter_per_var: int = 500     # moves of each variable, see above
     sigma_min: float = 1e-5
     sigma_update: float = 0.8
     eps_update: float = 0.03        # gradient-norm ratio enabling a sigma cut
@@ -215,12 +220,6 @@ def sigma_init(slopes, v_diag) -> float:
     return float(np.median(np.abs(slopes) / v_diag))
 
 
-def select_index_smooth(grad) -> int:
-    """Coordinate with the largest absolute gradient (ties: lowest index)."""
-    grad = np.asarray(grad, dtype=float)
-    return int(np.argmax(np.abs(grad)))
-
-
 def coordinate_step_smooth(i, d_i, eta_i, v_ii, rho, sigma) -> StepQuantities:
     """Exact minimizer of the smooth objective along coordinate i.
 
@@ -233,11 +232,6 @@ def coordinate_step_smooth(i, d_i, eta_i, v_ii, rho, sigma) -> StepQuantities:
     evaluated in the cancellation-free form
     (kappa - 4 phi tau) / (sqrt(...) + phi + tau) when phi + tau > 0.
     """
-    return StepQuantities(int(i), *_smooth_step(d_i, eta_i, v_ii, rho, sigma))
-
-
-def _smooth_step(d_i, eta_i, v_ii, rho, sigma):
-    """(phi, tau, kappa, delta) of ``coordinate_step_smooth``."""
     if v_ii <= 0.0 or rho <= 0.0 or sigma <= 0.0:
         raise ValueError("v_ii, rho, sigma must be positive")
     phi = 1.0 / (2.0 * v_ii)
@@ -264,7 +258,7 @@ def _smooth_step(d_i, eta_i, v_ii, rho, sigma):
         if 1.0 + candidate * v_ii <= 0.0:
             break
         delta = candidate
-    return phi, tau, kappa, delta
+    return StepQuantities(int(i), phi, tau, kappa, delta)
 
 
 def check_restart(d_max: float, mu: float, factor: float = 10.0) -> bool:
@@ -299,69 +293,95 @@ def _barrier_mu(base: np.ndarray) -> float:
 def _min_norm_subgradient(a, b, sigma, v_diag, out, sv, work):
     """Minimum-norm element of [a_i, b_i] - sigma V_ii per coordinate, a <= b.
 
-    Written into ``out`` through the buffers ``sv`` and ``work``.  When a is
-    b (the smooth solver) it is the gradient a - sigma V_ii itself, since
-    max(x, min(x, 0)) == x.
+    Written into ``out`` through the buffers ``sv`` and ``work``.
     """
     np.multiply(v_diag, sigma, out=sv)
     np.subtract(a, sv, out=out)
-    if b is not a:
-        np.subtract(b, sv, out=work)
-        np.minimum(work, 0.0, out=work)
-        np.maximum(out, work, out=out)
+    np.subtract(b, sv, out=work)
+    np.minimum(work, 0.0, out=work)
+    np.maximum(out, work, out=out)
 
 
-def _descend(inverse, d, a, b, sigma, step, objective, ref_norm, config,
-             trace, done=0, rho=0.0, mu=None):
-    """Coordinate descent from d, updating d, a, b and ``inverse`` in place.
+# Armijo fraction of the predicted decrease a Newton step must achieve, and
+# the smallest step length the backtracking line search tries.
+_ARMIJO = 1e-4
+_MIN_STEP = 1e-10
 
-    a, b are the regularizer's left and right slopes at d (the same array
-    for the smooth solver).  ``step(i, d_i, v_ii, sigma)`` returns the step
-    along i and the new d_i, and refreshes a[i], b[i].  With ``mu`` given,
-    |d_i| > restart_factor * mu stops the run before the inverse update.
-    Trace rows are numbered from ``done``.  Returns (status, steps, sigma):
-    "converged", "max_iter" or "restart".
+
+def _barrier_factor(base, d):
+    """Upper Cholesky factor of base + diag d and its log det, or Nones."""
+    c = cholesky_factor(base + np.diag(d), lower=False)
+    return (None, None) if c is None else (c, 2.0 * np.log(c.diagonal()).sum())
+
+
+def _newton(base, eta, rho, mu, ref_norm, config, trace, done):
+    """Damped Newton on the smooth objective at fixed rho, from d = 1.5 mu.
+
+    sigma is cut when the gradient norm reaches eps_update * ref_norm (or
+    the line search stalls); the run converges once the regularizer
+    improves by less than eps_check (relative) between two cuts.  Trace rows
+    are numbered from ``done`` and name the largest coordinate move.
+    Returns (status, d, steps, sigma): "converged", "max_iter" or "restart".
     """
-    max_iter = config.max_iter_per_var * d.size
-    check_every = config.check_every * d.size
-    s, sv, work = np.empty(d.size), np.empty(d.size), np.empty(d.size)
-    _min_norm_subgradient(a, b, sigma, inverse.diag, s, sv, work)
-    g_prev = objective(d)
-    d_max = float(np.abs(d).max())
-    k = 0
-    while k < max_iter:
+    n = eta.size
+    d = np.full(n, 1.5 * mu)
+    c, logdet = _barrier_factor(base, d)
+    if c is None:
+        raise ValueError("barrier matrix not positive definite at d = 1.5 mu")
+    V = cholesky_solve(c, False, np.eye(n))
+    reg = float(eta @ d + rho * (d @ d))
+    sigma = sigma_init(eta + 2.0 * rho * d, V.diagonal())
+    level = math.inf  # regularizer at the previous cut of sigma
+    stalled, k = False, 0
+    while True:
+        g = eta + 2.0 * rho * d - sigma * V.diagonal()
+        if stalled or math.sqrt(g @ g) <= config.eps_update * ref_norm:
+            if level - reg < config.eps_check * max(1.0, abs(level)):
+                return "converged", d, k, sigma
+            level = reg
+            sigma = update_sigma(sigma, 0.0, ref_norm, config)
+            stalled = False
+            continue
+        if k == config.max_iter_per_var:
+            return "max_iter", d, k, sigma
+        H = sigma * V * V
+        H.flat[::n + 1] += 2.0 * rho
+        c_h = cholesky_factor(H, lower=False)
+        if c_h is None:
+            stalled = True
+            continue
+        p = -cholesky_solve(c_h, False, g)
+        f, slope = reg - sigma * logdet, _ARMIJO * float(g @ p)
+        t = 1.0
+        while t >= _MIN_STEP:  # only positive definite trials can pass
+            trial = d + t * p
+            c, logdet_t = _barrier_factor(base, trial)
+            if c is not None:
+                reg_t = float(eta @ trial + rho * (trial @ trial))
+                if reg_t - sigma * logdet_t <= f + t * slope:
+                    break
+            t *= 0.5
+        else:
+            stalled = True
+            continue
         k += 1
-        np.abs(s, out=work)
-        i = int(work.argmax())
-        delta, d_i = step(i, d.item(i), inverse.diag.item(i), sigma)
-        d[i] = d_i
-        d_max = max(d_max, abs(d_i))
-        if mu is not None and check_restart(d_max, mu, config.restart_factor):
-            return "restart", k, sigma
-        sherman_morrison_update(inverse, i, delta)
-        _min_norm_subgradient(a, b, sigma, inverse.diag, s, sv, work)
-        new_sigma = update_sigma(sigma, math.sqrt(s.dot(s)), ref_norm, config)
-        if new_sigma != sigma:
-            sigma = new_sigma
-            _min_norm_subgradient(a, b, sigma, inverse.diag, s, sv, work)
+        d, reg, logdet = trial, reg_t, logdet_t
+        V = cholesky_solve(c, False, np.eye(n))
         if trace is not None:
-            trace.append((done + k, i, delta, sigma, rho, objective(d)))
-        if k % check_every == 0:
-            g_now = objective(d)
-            if g_prev - g_now < config.eps_check * max(1.0, abs(g_prev)):
-                return "converged", k, sigma
-            g_prev = g_now
-    return "max_iter", k, sigma
+            i = int(np.abs(p).argmax())
+            trace.append((done + k, i, t * p.item(i), sigma, rho, reg))
+        if check_restart(float(np.abs(d).max()), mu, config.restart_factor):
+            return "restart", d, k, sigma
 
 
 def solve_smooth(inp: SeparationInput, config: SeparationConfig) -> SeparationResult:
-    """Coordinate descent on the quadratically regularized separation problem.
+    """Damped Newton on the quadratically regularized separation problem.
 
-    Implements the restart strategy: whenever some component of d exceeds
-    restart_factor * mu the regularization was too weak, so rho grows by
-    rho_update and the iteration restarts from scratch (d = 1.5 mu, fresh
-    factorization, fresh sigma).  Returns the final d, which lies in D at
-    any stopping status.
+    Implements the restart strategy: whenever an accepted iterate has a
+    component of d above restart_factor * mu the regularization was too
+    weak, so rho grows by rho_update and the iteration restarts from
+    scratch (d = 1.5 mu, fresh factorization, fresh sigma).  Returns the
+    final d, which lies in D at any stopping status.
     """
     if config.rho0 is None or config.rho0 <= 0.0:
         raise ValueError("config.rho0 must be a positive regularization seed")
@@ -370,35 +390,18 @@ def solve_smooth(inp: SeparationInput, config: SeparationConfig) -> SeparationRe
     base = inp.barrier_base()
     mu = _barrier_mu(base)
     eta_norm = float(np.linalg.norm(eta))
+    rho = float(config.rho0)
+    trace = [] if config.trace else None
     if eta_norm == 0.0:
         # exact relaxation point: every d separates equally, keep the seed
         d0 = np.full(n, 1.5 * mu)
-        return SeparationResult(d=d0, objective=float(config.rho0) * float(d0 @ d0),
-                                iterations=0, restarts=0, rho=float(config.rho0),
-                                sigma=0.0, status="converged",
-                                trace=[] if config.trace else None)
-    rho = float(config.rho0)
-    trace = [] if config.trace else None
-    eta_l = eta.tolist()
+        return SeparationResult(d=d0, objective=rho * float(d0 @ d0),
+                                iterations=0, restarts=0, rho=rho, sigma=0.0,
+                                status="converged", trace=trace)
     total_steps = restarts = 0
-
-    def step(i, d_i, v_ii, sigma):
-        delta = _smooth_step(d_i, eta_l[i], v_ii, rho, sigma)[3]
-        d_i += delta
-        a[i] = eta_l[i] + 2.0 * rho * d_i
-        return delta, d_i
-
-    def objective(dv):
-        return float(eta @ dv + rho * (dv @ dv))
-
     while True:
-        d = np.full(n, 1.5 * mu)
-        inverse = factor_inverse(base + np.diag(d))
-        a = eta + 2.0 * rho * d
-        sigma = sigma_init(a, inverse.diagonal())
-        status, k, sigma = _descend(inverse, d, a, a, sigma, step, objective,
-                                    eta_norm, config, trace, total_steps,
-                                    rho, mu)
+        status, d, k, sigma = _newton(base, eta, rho, mu, eta_norm, config,
+                                      trace, total_steps)
         total_steps += k
         if status == "restart":
             if restarts < config.max_restarts:
@@ -406,7 +409,7 @@ def solve_smooth(inp: SeparationInput, config: SeparationConfig) -> SeparationRe
                 rho *= config.rho_update
                 continue
             status = "restart_limit"  # d is still in D; report it
-        return SeparationResult(d=d, objective=objective(d),
+        return SeparationResult(d=d, objective=float(eta @ d + rho * (d @ d)),
                                 iterations=total_steps, restarts=restarts,
                                 rho=rho, sigma=sigma, status=status,
                                 trace=trace)
@@ -453,23 +456,45 @@ def solve_nonsmooth(inp: SeparationInput, config: SeparationConfig) -> Separatio
                                 trace=[] if config.trace else None)
     beta = eta + lam
     eta_l, beta_l = eta.tolist(), beta.tolist()
+    beta_norm = float(np.linalg.norm(beta))
     inverse = factor_inverse(base + np.diag(d))
     a, b = beta.copy(), beta.copy()  # left and right slopes; d starts > 0
     sigma = sigma_init(a, inverse.diagonal())
     trace = [] if config.trace else None
 
-    def step(i, d_i, v_ii, sigma):
-        delta, at_kink = _nonsmooth_step(d_i, eta_l[i], beta_l[i], sigma, v_ii)
-        d_i = 0.0 if at_kink else d_i + delta
-        a[i] = beta_l[i] if d_i > 0.0 else eta_l[i]
-        b[i] = eta_l[i] if d_i < 0.0 else beta_l[i]
-        return delta, d_i
-
     def objective(dv):
         return float(eta @ dv + lam * np.maximum(dv, 0.0).sum())
 
-    status, k, sigma = _descend(inverse, d, a, b, sigma, step, objective,
-                                float(np.linalg.norm(beta)), config, trace)
+    max_iter = config.max_iter_per_var * n
+    check_every = config.check_every * n
+    s, sv, work = np.empty(n), np.empty(n), np.empty(n)
+    _min_norm_subgradient(a, b, sigma, inverse.diag, s, sv, work)
+    g_prev = objective(d)
+    status, k = "max_iter", 0
+    while k < max_iter:
+        k += 1
+        np.abs(s, out=work)
+        i = int(work.argmax())
+        d_i = d.item(i)
+        delta, at_kink = _nonsmooth_step(d_i, eta_l[i], beta_l[i], sigma,
+                                         inverse.diag.item(i))
+        d[i] = d_i = 0.0 if at_kink else d_i + delta
+        a[i] = beta_l[i] if d_i > 0.0 else eta_l[i]
+        b[i] = eta_l[i] if d_i < 0.0 else beta_l[i]
+        sherman_morrison_update(inverse, i, delta)
+        _min_norm_subgradient(a, b, sigma, inverse.diag, s, sv, work)
+        new_sigma = update_sigma(sigma, math.sqrt(s.dot(s)), beta_norm, config)
+        if new_sigma != sigma:
+            sigma = new_sigma
+            _min_norm_subgradient(a, b, sigma, inverse.diag, s, sv, work)
+        if trace is not None:
+            trace.append((k, i, delta, sigma, 0.0, objective(d)))
+        if k % check_every == 0:
+            g_now = objective(d)
+            if g_prev - g_now < config.eps_check * max(1.0, abs(g_prev)):
+                status = "converged"
+                break
+            g_prev = g_now
     return SeparationResult(d=d, objective=objective(d), iterations=k,
                             restarts=0, rho=0.0, sigma=sigma, status=status,
                             trace=trace)

@@ -424,15 +424,27 @@ class TestCuttingSurface:
                     lhs = float(x @ (inst.Q + np.diag(d)) @ x - d @ y)
                     assert fx >= lhs - 1e-8 * max(1.0, abs(fx))
 
-    def test_secant_coordinates_stay_above_parabola(self):
+    def test_secant_coordinates_stay_above_parabola(self, monkeypatch):
         # IPM roundoff puts some binary x a hair outside [0, 1], where the
         # secant y = x dips below x**2; the next separation then saw a
-        # negative slack and raised
-        inst = generate_instance("binary_card", 20, 0.8, 15005)
+        # negative slack and raised.  Here the first epigraph solve has
+        # x_15 = 1 + 1e-12, and the loop must separate at that point.
+        solves = []
+        solve = relax.solve_qcp
+
+        def record(model):
+            solves.append(solve(model))
+            return solves[-1]
+
+        monkeypatch.setattr(relax, "solve_qcp", record)
+        inst = generate_instance("binary_card", 20, 0.8, 15019)
         res = cutting_surface(inst, select_alpha(inst).alpha, max_cuts=10,
                               mode="smooth")
-        assert res.cuts_added == 10
-        assert np.all(res.solution.y >= res.solution.x ** 2)
+        outside = [k for k, sol in enumerate(solves)
+                   if np.any((sol.x < inst.lower) | (sol.x > inst.upper))]
+        assert outside and outside[0] < res.cuts_added - 1
+        for sol in solves:
+            assert np.all(sol.y >= sol.x ** 2)
 
     def test_root_reduction_built_once(self, monkeypatch):
         builds = []

@@ -1,4 +1,4 @@
-"""Coordinate-descent separation: steps, restarts, and full solves."""
+"""Separation: coordinate steps, restarts, and full solves."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from quadrelax.separation import (
     coordinate_step_smooth,
     eta_from_relaxation,
     rho_init,
-    select_index_smooth,
     sigma_init,
     solve_nonsmooth,
     solve_smooth,
@@ -81,11 +80,6 @@ class TestSeeds:
 
 
 class TestStepPieces:
-    def test_select_index_ties_lowest(self):
-        assert select_index_smooth([1.0, -2.0, 2.0]) == 1
-        assert select_index_smooth([-3.0, 3.0]) == 0
-        assert select_index_smooth([0.0, 0.0]) == 0
-
     def test_step_stationarity(self):
         # Residual of the stationarity equation in cleared form: multiply
         # through by the (positive) denominator 1 + Delta V_ii, which keeps
@@ -175,9 +169,13 @@ class TestSolveSmooth:
     def test_trace_rows(self):
         inp = SeparationInput(Q=Q2, A=A2, alpha=1.0, eta=[0.25, 0.25])
         res = solve_smooth(inp, SeparationConfig(rho0=1e-4, trace=True))
-        assert res.trace and len(res.trace) <= res.iterations
+        # one row per Newton step, naming its largest coordinate move
+        assert res.trace and len(res.trace) == res.iterations
+        assert all(len(row) == 6 for row in res.trace)
+        assert [row[0] for row in res.trace] == list(range(1, len(res.trace) + 1))
         k, i, delta, sigma, rho, obj = res.trace[0]
         assert k == 1 and i in (0, 1) and rho == pytest.approx(1e-4)
+        assert res.trace[-1][5] == res.objective
 
 
 class TestSolveNonsmooth:

@@ -1,10 +1,15 @@
-"""The separation loops against verbatim copies of their step-by-step form.
+"""The separation solvers against verbatim copies of coordinate descent.
 
 ``reference_smooth`` and ``reference_nonsmooth`` rebuild diag(V), the
-gradient and the objective anew every step.  The solvers in
-``quadrelax.separation`` keep that state up to date incrementally with the
-same floating-point operations, so every result field and every trace row
-must match bit for bit.
+gradient and the objective anew every coordinate step.  ``solve_nonsmooth``
+keeps that state up to date incrementally with the same floating-point
+operations, so every result field and every trace row must match bit for
+bit.  ``solve_smooth`` runs damped Newton on the same objective, so it is
+held to a contract instead: its d passes a Cholesky test for D on every
+seed, a zero slack vector returns the seed untouched, and wherever the
+reference converges at a final rho the Newton run ends at too, it converges
+with an objective at most ``SMOOTH_OBJ_TOL`` (relative) above the
+reference's.
 """
 
 import numpy as np
@@ -20,7 +25,6 @@ from quadrelax.separation import (
     _nonsmooth_step,
     check_restart,
     coordinate_step_smooth,
-    select_index_smooth,
     sigma_init,
     solve_nonsmooth,
     solve_smooth,
@@ -63,7 +67,7 @@ def reference_smooth(inp: SeparationInput, config: SeparationConfig) -> Separati
             total_steps += 1
             v_diag = np.diag(inverse.V)
             grad = eta + 2.0 * rho * d - sigma * v_diag
-            i = select_index_smooth(grad)
+            i = int(np.argmax(np.abs(grad)))
             step = coordinate_step_smooth(i, d[i], eta[i], v_diag[i], rho, sigma)
             d[i] += step.delta
             d_max = max(d_max, float(abs(d[i])))
@@ -180,12 +184,19 @@ def seeded_case(seed):
     return inp, cfg
 
 
-# Seeds of ``seeded_case`` that between them take every path of the loop;
-# ``test_seeds_cover_every_path`` keeps the list honest.
-SEEDS = [0, 1, 2, 4, 5, 6, 9, 10, 11, 61, 97, 101, 191]
+# Seeds of ``seeded_case`` that between them take every path of both
+# solvers (332 is the one whose nonsmooth run refactors its tracked
+# inverse); ``test_seeds_cover_every_path`` keeps the list honest.
+SEEDS = [0, 1, 2, 4, 5, 6, 9, 10, 11, 61, 97, 101, 191, 332]
 
 SOLVERS = {"smooth": (solve_smooth, reference_smooth),
            "nonsmooth": (solve_nonsmooth, reference_nonsmooth)}
+
+
+# Of the SEEDS and seeds 200-229 (less 212, whose base matrix is psd), two
+# converge above the reference, by 1.2e-4 and 1.3e-4 relative: the order
+# of eps_check = 1e-4, the relative improvement below which both stop.
+SMOOTH_OBJ_TOL = 2e-4
 
 
 def assert_bitwise_equal(new, ref):
@@ -197,6 +208,20 @@ def assert_bitwise_equal(new, ref):
     assert new.trace == ref.trace
 
 
+def assert_smooth_contract(inp, cfg, new, ref):
+    barrier = inp.barrier_base() + np.diag(new.d)
+    assert linalg.cholesky_factor(barrier, lower=False) is not None
+    if cfg.trace:
+        assert len(new.trace) == new.iterations
+        assert all(len(row) == 6 for row in new.trace)
+    else:
+        assert new.trace is None
+    if ref.status == "converged" and new.rho == ref.rho:
+        assert new.status == "converged"
+        assert new.objective <= ref.objective \
+            + SMOOTH_OBJ_TOL * max(1.0, abs(ref.objective))
+
+
 @pytest.mark.parametrize("trace", [False, True])
 @pytest.mark.parametrize("mode", ["smooth", "nonsmooth"])
 @pytest.mark.parametrize("seed", SEEDS)
@@ -204,7 +229,15 @@ def test_matches_reference(seed, mode, trace):
     inp, cfg = seeded_case(seed)
     cfg.trace = trace
     solve, reference = SOLVERS[mode]
-    assert_bitwise_equal(solve(inp, cfg), reference(inp, cfg))
+    new, ref = solve(inp, cfg), reference(inp, cfg)
+    if mode == "nonsmooth":
+        assert_bitwise_equal(new, ref)
+    else:
+        assert_smooth_contract(inp, cfg, new, ref)
+        cfg.trace = not trace  # tracing must not change the run
+        other = solve(inp, cfg)
+        assert other.d.tobytes() == new.d.tobytes()
+        assert (other.iterations, other.status) == (new.iterations, new.status)
 
 
 @pytest.mark.parametrize("mode", ["smooth", "nonsmooth"])
@@ -216,7 +249,12 @@ def test_iteration_budget_matches_reference(seed, mode):
     solve, reference = SOLVERS[mode]
     new = solve(inp, cfg)
     assert new.status == "max_iter"
-    assert_bitwise_equal(new, reference(inp, cfg))
+    if mode == "nonsmooth":
+        assert_bitwise_equal(new, reference(inp, cfg))
+    else:
+        # the cap counts Newton steps per restart round
+        assert new.iterations <= 2 * (new.restarts + 1)
+        assert_smooth_contract(inp, cfg, new, reference(inp, cfg))
 
 
 @pytest.mark.parametrize("trace", [False, True])
