@@ -16,6 +16,12 @@ u_i}:
 All subproblem solutions pass a KKT certification filter before their
 bounds are trusted; failures degrade to the best previously certified
 bound.
+
+``ReducedProblem`` restricts the instance to a node: it eliminates fixed
+variables and dependent rows and raises ``InfeasibleRelaxation`` for an
+empty node.  Whether the node box meets {Ax = b} is decided by a
+projected-midpoint witness and then exactly by ``linalg.box_rows_disjoint``,
+a dense phase-1 simplex, so no LP solver is called here.
 """
 
 from __future__ import annotations
@@ -24,11 +30,11 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize
 
 from . import qcqp
 from .linalg import (
     NullspaceBasis,
+    box_rows_disjoint,
     independent_rows,
     min_eigenvalue,
     min_generalized_eigenvalue,
@@ -335,39 +341,21 @@ class ReducedProblem:
         return red
 
     def _check_box_consistency(self):
-        """Cheap emptiness checks of {Ar x = br} intersect the box."""
-        if not self.n_free:
+        """Raise InfeasibleRelaxation when {Ar x = br} misses the box.
+
+        The projected box midpoint, when it lands in the box, proves the
+        node non-empty (it settles most wide boxes, roots included).
+        Otherwise ``linalg.box_rows_disjoint`` decides exactly, by a dense
+        phase-1 simplex; its guard exits answer "not proven empty", so a
+        node is kept, and left to the IPM, whenever emptiness is unproven.
+        """
+        if not self.n_free or not self.Ar.shape[0]:
             return
-        # coordinates the equalities determine completely must sit in the box
-        if self.basis.dim:
-            znorm = np.abs(self.basis.Z).max(axis=1)
-        else:
-            znorm = np.zeros(self.n_free)
-        pinned = znorm <= 1e-12
-        bad = pinned & ((self.x_hat < self.lower - 1e-8)
-                        | (self.x_hat > self.upper + 1e-8))
-        if np.any(bad):
-            raise InfeasibleRelaxation("equality-pinned variable outside box")
-        if not self.Ar.shape[0]:
-            return
-        # row-wise interval bound: b_r outside the range of a_r^T x over the
-        # box proves emptiness without an LP (sound, not complete)
-        pos = np.clip(self.Ar, 0.0, None)
-        neg = self.Ar - pos
-        row_lo = pos @ self.lower + neg @ self.upper
-        row_hi = pos @ self.upper + neg @ self.lower
-        tol = 1e-9 * np.maximum(1.0, np.abs(self.br))
-        if np.any(self.br < row_lo - tol) or np.any(self.br > row_hi + tol):
-            raise InfeasibleRelaxation("equality row unreachable inside box")
-        # witness shortcut: projected midpoint often certifies feasibility
         mid = 0.5 * (self.lower + self.upper)
         w = self.x_hat + self.basis.Z @ (self.basis.Z.T @ (mid - self.x_hat))
         if np.all(w >= self.lower - 1e-9) and np.all(w <= self.upper + 1e-9):
             return
-        res = scipy.optimize.linprog(
-            c=np.zeros(self.n_free), A_eq=self.Ar, b_eq=self.br,
-            bounds=list(zip(self.lower, self.upper)), method="highs")
-        if res.status == 2:
+        if box_rows_disjoint(self.Ar, self.br, self.lower, self.upper):
             raise InfeasibleRelaxation("box and equality rows are disjoint")
 
     def hull_coeffs(self):
@@ -446,7 +434,8 @@ def solve_qp_child(instance: MiqpInstance, d, node_bounds,
 
     Z = red.basis.Z
     if Z.shape[1] == 0:
-        # every coordinate is pinned; the build checked x_hat against the box
+        # every coordinate is pinned: x_hat is the node's one point, which
+        # the build found in the box to tolerance
         x_f = red.x_hat
         value = float(x_f @ H @ x_f + lin @ x_f) + const
         result = None

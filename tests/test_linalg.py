@@ -1,11 +1,14 @@
-"""Eigenvalue, nullspace, and tracked-inverse kernels."""
+"""Eigenvalue, nullspace, feasibility, and tracked-inverse kernels."""
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
+from quadrelax import linalg
 from quadrelax.linalg import (
     InverseState,
+    box_rows_disjoint,
     cholesky_factor,
     cholesky_solve,
     factor_inverse,
@@ -74,6 +77,113 @@ class TestIndependentRows:
         A = np.array([[1.0, 0.0], [1.0, 1e-9]])
         assert independent_rows(A, 1e-12)[1] == []
         assert len(independent_rows(A, 1e-8)[1]) == 1
+
+
+def highs_disjoint(A, b, lower, upper):
+    """The feasibility LP the node reduction used to solve with HiGHS."""
+    res = scipy.optimize.linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=b,
+                                 bounds=list(zip(lower, upper)),
+                                 method="highs")
+    assert res.status in (0, 2)
+    return res.status == 2
+
+
+def random_system(rng, m, n, kind):
+    """A seeded (A, b, lower, upper) of the given kind, and whether it is
+    known to be non-empty (False), empty (True) or neither (None)."""
+    A = rng.normal(size=(m, n))
+    lower = rng.uniform(-3.0, 1.0, n)
+    upper = lower + rng.uniform(0.1, 4.0, n)
+    if kind == "interior":
+        return A, A @ rng.uniform(lower, upper), lower, upper, False
+    if kind == "vertex":
+        v = np.where(rng.random(n) < 0.5, lower, upper)
+        return A, A @ v, lower, upper, False
+    if kind == "parallel":
+        if n >= 3:
+            A[:, 1] = 2.5 * A[:, 0]
+            A[:, 2] = 0.0
+        return A, A @ rng.uniform(lower - 2.0, upper + 2.0), lower, upper, None
+    if kind == "wide":
+        return A, A @ rng.uniform(lower - 2.0, upper + 2.0), lower, upper, None
+    # b pushed outside A(box) along w: w'b exceeds max w'Ax over the box
+    rel = {"outside_1e-6": 1e-6, "outside_1e-2": 1e-2}[kind]
+    w = rng.normal(size=m)
+    v = np.where(A.T @ w > 0.0, upper, lower)
+    Av = A @ v
+    b = Av + rel * max(1.0, np.abs(Av).max()) * w / np.linalg.norm(w)
+    return A, b, lower, upper, True
+
+
+class TestBoxRowsDisjoint:
+    KINDS = ("interior", "vertex", "parallel", "wide", "outside_1e-6",
+             "outside_1e-2")
+
+    def test_agrees_with_highs_on_seeded_systems(self):
+        rng = np.random.default_rng(20260)
+        decided = {True: 0, False: 0}
+        for m in range(1, 8):
+            for _ in range(12):
+                n = int(rng.integers(1, 31))
+                for kind in self.KINDS:
+                    A, b, lower, upper, known = random_system(rng, m, n, kind)
+                    empty = box_rows_disjoint(A, b, lower, upper)
+                    assert empty == highs_disjoint(A, b, lower, upper), \
+                        (m, n, kind)
+                    assert known is None or empty == known, (m, n, kind)
+                    decided[empty] += 1
+        assert min(decided.values()) > 100
+
+    def test_square_touching_line_at_a_corner(self):
+        # x1 + x2 = 2, x3 = 1 meets the unit cube only at (1, 1, 1)
+        A = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        lower, upper = np.zeros(3), np.ones(3)
+        assert not box_rows_disjoint(A, [2.0, 1.0], lower, upper)
+        assert box_rows_disjoint(A, [2.0 + 1e-6, 1.0], lower, upper)
+        assert not box_rows_disjoint(A, [2.0 - 1e-6, 1.0], lower, upper)
+
+    def test_row_at_row_hi(self):
+        # row 1 sits at row_hi = 3, reached only at (1, 1, 1); there row 2
+        # reads 0, so each row passes the interval test alone
+        A = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+        lower, upper = np.zeros(3), np.ones(3)
+        assert box_rows_disjoint(A, [3.0, 0.5], lower, upper)
+        assert not box_rows_disjoint(A, [3.0, 0.0], lower, upper)
+        assert not box_rows_disjoint(A, [2.5, 0.5], lower, upper)
+
+    def test_no_rows_and_fixed_columns(self):
+        assert not box_rows_disjoint(np.zeros((0, 2)), [], [0.0, 0.0],
+                                     [1.0, 1.0])
+        A = np.array([[1.0, 1.0]])
+        assert not box_rows_disjoint(A, [1.5], [1.0, 0.5], [1.0, 0.5])
+        assert box_rows_disjoint(A, [1.6], [1.0, 0.5], [1.0, 0.5])
+
+    @pytest.mark.parametrize("bad", ["A", "b", "lower", "upper"])
+    def test_non_finite_input_raises(self, bad):
+        args = {"A": np.eye(2), "b": np.ones(2), "lower": np.zeros(2),
+                "upper": np.full(2, 2.0)}
+        args[bad] = args[bad].copy()
+        args[bad].flat[0] = np.nan if bad in ("A", "lower") else np.inf
+        with pytest.raises(ValueError, match="finite"):
+            box_rows_disjoint(**args)
+
+    def test_shape_and_bound_order_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            box_rows_disjoint(np.eye(2), np.ones(3), np.zeros(2), np.ones(2))
+        with pytest.raises(ValueError, match="above"):
+            box_rows_disjoint(np.eye(2), np.ones(2), np.ones(2), np.zeros(2))
+
+    def test_guard_exit_is_not_proven_empty(self, monkeypatch):
+        # a simplex stopped by its pivot cap never reports an empty set
+        A = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+        lower, upper = np.zeros(3), np.ones(3)
+        assert box_rows_disjoint(A, [3.0, 0.5], lower, upper)
+        monkeypatch.setattr(linalg, "_PHASE1_PIVOTS", 0)
+        assert not box_rows_disjoint(A, [3.0, 0.5], lower, upper)
+        rng = np.random.default_rng(7)
+        for m in range(1, 8):
+            A, b, lower, upper, _ = random_system(rng, m, 6, "outside_1e-2")
+            assert not box_rows_disjoint(A, b, lower, upper)
 
 
 class TestEigenvalues:
