@@ -5,9 +5,11 @@ useful new perturbation d minimizes eta'd over all d that keep
 Q + diag(d) + alpha A'A positive semidefinite.  A log-det barrier keeps
 the iterates inside that set.  The smooth solver adds a quadratic
 regularizer (grown on restarts), which guarantees the minimum is attained
-even when the unregularized problem drifts to infinity, and minimizes by
-damped Newton steps; the nonsmooth solver penalizes the positive part of
-d and moves one coordinate at a time by closed-form steps.
+even when the unregularized problem drifts to infinity; the nonsmooth
+solver penalizes the positive part of d instead.  Both minimize by damped
+Newton steps: the nonsmooth one sees each max(d_i, 0) through its barrier
+epigraph, a smooth function that tends to the penalty as the barrier
+weight falls.
 """
 
 import numpy as np
@@ -44,4 +46,4 @@ inp = SeparationInput(Q=Q, A=A, alpha=1.0, eta=np.array([0.25, 0.25]))
 res = solve_nonsmooth(inp, SeparationConfig(rho0=1e-4))
 print()
 print(f"positive-part penalty: d = ({res.d[0]:.4f}, {res.d[1]:.4f}), "
-      f"status {res.status}")
+      f"status {res.status}, {res.iterations} Newton steps")

@@ -2,9 +2,8 @@
 
 Thin wrappers around LAPACK (via numpy/scipy) that pin down the exact
 conventions the rest of the package relies on: orthonormal nullspace bases,
-independent row subsets, smallest (generalized/projected) eigenvalues, one
-Cholesky factor/solve pair, and an incrementally updated inverse of a
-positive definite matrix under rank-one diagonal modifications.
+independent row subsets, smallest (generalized/projected) eigenvalues and
+one Cholesky factor/solve pair.
 
 ``box_rows_disjoint`` decides whether a box meets {Ax = b}.  Node boxes
 have a handful of rows and columns, so a dense numpy phase-1 simplex
@@ -19,7 +18,7 @@ the interior-point method factors and solves thousands of small systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -27,7 +26,6 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "NullspaceBasis",
-    "InverseState",
     "nullspace_basis",
     "independent_rows",
     "box_rows_disjoint",
@@ -36,16 +34,11 @@ __all__ = [
     "projected_min_eigenvalue",
     "cholesky_factor",
     "cholesky_solve",
-    "factor_inverse",
-    "sherman_morrison_update",
     "psd_certificate",
 ]
 
 # Orthogonality / annihilation tolerance for nullspace bases.
 _NULL_TOL = 1e-10
-
-# Relative residual of M @ V - I above which a tracked inverse is refactored.
-_DRIFT_TOL = 1e-8
 
 # Relative row miss that box_rows_disjoint must prove before it reports an
 # empty set, and its pivot cap per row and column.
@@ -290,85 +283,6 @@ def cholesky_solve(c, lower: bool, rhs):
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrs")
     return x
-
-
-@dataclass
-class InverseState:
-    """Tracked inverse V of a positive definite matrix M.
-
-    ``sherman_morrison_update`` applies rank-one diagonal modifications
-    M <- M + delta e_i e_i^T cheaply to V, in place, while keeping M itself
-    exact.  Every n updates the product M @ V is checked against the
-    identity and V is refactored from M if the accumulated drift exceeds
-    tolerance.  ``diag`` is a read-only view of V's diagonal, so it carries
-    every update bit for bit at no cost; it is re-bound when a refactor
-    replaces V.  ``work`` is scratch space for the rank-one term.
-    """
-
-    M: np.ndarray
-    V: np.ndarray
-    update_count: int = 0
-    refactor_count: int = field(default=0, compare=False)
-    diag: np.ndarray = field(init=False, repr=False, compare=False)
-    work: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.diag = self.V.diagonal()
-        self.work = np.empty_like(self.V)
-
-    @property
-    def n(self) -> int:
-        return self.M.shape[0]
-
-    def diagonal(self) -> np.ndarray:
-        """The tracked diagonal of V (read-only)."""
-        return self.diag
-
-
-def factor_inverse(M) -> InverseState:
-    """Factor a symmetric positive definite matrix and return its inverse state.
-
-    Raises ValueError if M is not positive definite.
-    """
-    M = _as_symmetric_matrix(M)
-    c = cholesky_factor(M, lower=False)
-    if c is None:
-        raise ValueError("matrix is not positive definite")
-    V = cholesky_solve(c, False, np.eye(M.shape[0]))
-    V = 0.5 * (V + V.T)
-    return InverseState(M=M.copy(), V=V)
-
-
-def sherman_morrison_update(state: InverseState, i: int, delta: float) -> None:
-    """Apply M <- M + delta e_i e_i^T to a tracked inverse, in place.
-
-    Requires 1 + delta * V[i, i] > 0, which keeps the updated matrix
-    positive definite; violating it raises ValueError and leaves the state
-    untouched.  Every n-th update triggers a drift check of M @ V against
-    the identity, refactoring V from the exactly tracked M if needed.
-    """
-    n = state.n
-    if not 0 <= i < n:
-        raise ValueError(f"index {i} out of range for n={n}")
-    denom = 1.0 + delta * state.V[i, i]
-    if denom <= 0.0:
-        raise ValueError(
-            f"update would lose positive definiteness (1 + delta*V_ii = {denom:.3e})")
-    # row i is column i: V stays exactly symmetric (it is symmetrised when
-    # factored and every update subtracts a symmetric outer product)
-    vi = state.V[i]
-    outer = np.multiply.outer(vi, vi, out=state.work)
-    outer *= delta / denom
-    state.V -= outer
-    state.M[i, i] += delta
-    state.update_count += 1
-    if state.update_count % n == 0:
-        scale = max(1.0, np.abs(state.M).max())
-        drift = np.abs(state.M @ state.V - np.eye(n)).max()
-        if drift > _DRIFT_TOL * scale:
-            state.V = factor_inverse(state.M).V
-            state.diag = state.V.diagonal()
-            state.refactor_count += 1
 
 
 def psd_certificate(M, tol: float = 1e-8) -> bool:

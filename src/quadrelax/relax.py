@@ -667,8 +667,8 @@ def next_cut(red: ReducedProblem, alpha: float, sol: RelaxationSolution,
              d_fill, solver, config: SeparationConfig):
     """One separation round at the relaxation point sol.
 
-    Runs solver (solve_smooth, damped Newton, or solve_nonsmooth,
-    coordinate descent) on the slacks of the free variables and embeds its
+    Runs solver (solve_smooth or solve_nonsmooth, both damped Newton on
+    the log-det barrier) on the slacks of the free variables and embeds its
     d into a copy of d_fill, which supplies the fixed coordinates.  Returns
     that cut when it violates sol by more than 1e-6 * max(1, |v|), else
     None (also when sol is exact on the free variables, where no
@@ -732,12 +732,12 @@ def cutting_surface(instance: MiqpInstance, alpha: float, max_cuts: int = 20,
     Starts from the spectral QP of the uniform perturbation d0 = mu * ones.
     mu > 0 puts every y of the one-cut epigraph QCP over [d0] on its
     secant, so that QP is the one-cut QCP, with multiplier 1.  The loop
-    then alternates separation rounds (smooth damped Newton or nonsmooth
-    coordinate descent, see ``next_cut``) with QCP solves, adding each new
-    cut only when it violates the incumbent relaxation point by more than
-    1e-6 * max(1, |v|).  A cut whose QCP misses certification is dropped
-    and the loop stops, keeping the last certified solution and its
-    multipliers, so the bound sequence is non-decreasing.
+    then alternates separation rounds (damped Newton with the smooth or
+    the nonsmooth regularizer, see ``next_cut``) with QCP solves, adding
+    each new cut only when it violates the incumbent relaxation point by
+    more than 1e-6 * max(1, |v|).  A cut whose QCP misses certification is
+    dropped and the loop stops, keeping the last certified solution and
+    its multipliers, so the bound sequence is non-decreasing.
     """
     if mode not in ("smooth", "nonsmooth"):
         raise ValueError(f"unknown separation mode {mode!r}")

@@ -2,23 +2,27 @@
 
 Given a relaxation point with slacks eta_i = y_i - x_i**2 >= 0, a deeper
 cut is a diagonal d in the set D = {d : Q + diag(d) + alpha A^T A psd} that
-minimizes eta^T d.  Both solvers minimize the barrier formulation
+minimizes eta^T d.  Both solvers run damped Newton on the barrier
+formulation
 
     min  reg(d) - sigma * log det(Q + alpha A^T A + diag(d))
 
-along a decreasing path of sigma.  Every iterate keeps the barrier matrix
-positive definite, so any returned d is a member of D regardless of how
-early the iteration stops.
+along a decreasing path of sigma.  With V = (Q + alpha A^T A + diag d)^-1
+the barrier adds -sigma diag V to the gradient and sigma V o V
+(elementwise product) to the Hessian; the regularizer adds its own
+gradient and a diagonal.  Every iterate keeps the barrier matrix positive
+definite, so any returned d is a member of D regardless of how early the
+iteration stops.
 
-``solve_smooth`` takes reg = eta^T d + rho ||d||^2 and runs damped Newton:
-with V = (Q + alpha A^T A + diag d)^-1 the gradient is eta + 2 rho d -
-sigma diag V and the Hessian 2 rho I + sigma V o V (elementwise product).
+``solve_smooth`` takes reg = eta^T d + rho ||d||^2, with gradient
+eta + 2 rho d and Hessian 2 rho I.
 
 ``solve_nonsmooth`` takes reg = eta^T d + lambda sum(max(d_i, 0)) with
-lambda = sum(eta) and runs coordinate descent: each step moves the
-coordinate with the largest minimum-norm subgradient component to its
-exact one-dimensional minimizer, and V takes one in-place Sherman-Morrison
-update per step.
+lambda = sum(eta).  Newton sees each lambda max(d_i, 0) through its
+barrier epigraph psi_sigma(d_i), the minimum over p > max(0, d_i) of
+lambda p - sigma log p - sigma log(p - d_i), which has a closed form
+(``positive_part_epigraph``) and tends to lambda max(d_i, 0) as sigma
+falls.
 """
 
 from __future__ import annotations
@@ -28,13 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    cholesky_factor,
-    cholesky_solve,
-    factor_inverse,
-    min_eigenvalue,
-    sherman_morrison_update,
-)
+from .linalg import cholesky_factor, cholesky_solve, min_eigenvalue
 
 __all__ = [
     "SeparationInput",
@@ -47,6 +45,7 @@ __all__ = [
     "coordinate_step_smooth",
     "check_restart",
     "update_sigma",
+    "positive_part_epigraph",
     "solve_smooth",
     "solve_nonsmooth",
 ]
@@ -129,17 +128,17 @@ class SeparationConfig:
 
     rho0 seeds the quadratic regularization weight of the smooth solver and
     must be set (``rho_init`` computes the standard seed from the problem
-    data).  max_iter_per_var caps the moves of each variable: n times that
-    many coordinate steps (nonsmooth), or that many Newton steps per restart
-    round (smooth).  check_every is for the nonsmooth solver only.
+    data).  max_iter_per_var caps the Newton steps of each round: each
+    restart round of the smooth solver, the one round of the nonsmooth
+    solver.  rho_update, max_restarts and restart_factor are for the smooth
+    solver only.
     """
 
     rho0: float | None = None
-    max_iter_per_var: int = 500     # moves of each variable, see above
+    max_iter_per_var: int = 500     # Newton steps per round, see above
     sigma_min: float = 1e-5
     sigma_update: float = 0.8
     eps_update: float = 0.03        # gradient-norm ratio enabling a sigma cut
-    check_every: int = 10           # objective check every this times n steps
     eps_check: float = 1e-4         # relative improvement below this stops
     rho_update: float = 10.0        # regularization growth on restart
     max_restarts: int = 12
@@ -207,9 +206,9 @@ def sigma_init(slopes, v_diag) -> float:
     """Initial barrier weight: median of |slope_i| / V_ii.
 
     ``slopes`` is the gradient of the regularizer at the starting point
-    (eta + 2 rho d for the smooth solver, the branch slopes for the
-    nonsmooth one); balancing it against the barrier diagonal puts the
-    first iterations at a meaningful scale.
+    (eta + 2 rho d for the smooth solver, eta + lambda for the nonsmooth
+    one, whose start d is positive); balancing it against the barrier
+    diagonal puts the first iterations at a meaningful scale.
     """
     slopes = np.asarray(slopes, dtype=float).reshape(-1)
     v_diag = np.asarray(v_diag, dtype=float).reshape(-1)
@@ -273,7 +272,7 @@ def check_restart(d_max: float, mu: float, factor: float = 10.0) -> bool:
 def update_sigma(sigma, grad_norm, ref_norm, config: SeparationConfig) -> float:
     """Shrink the barrier weight once the current subproblem is nearly solved.
 
-    When the (sub)gradient norm has dropped to eps_update times the
+    When the gradient norm has dropped to eps_update times the
     regularizer's own norm, multiply sigma by sigma_update, never below
     sigma_min.
     """
@@ -290,16 +289,64 @@ def _barrier_mu(base: np.ndarray) -> float:
     return mu
 
 
-def _min_norm_subgradient(a, b, sigma, v_diag, out, sv, work):
-    """Minimum-norm element of [a_i, b_i] - sigma V_ii per coordinate, a <= b.
+def positive_part_epigraph(d, lam, sigma):
+    """Barrier epigraph psi_sigma of lam * max(d, 0), elementwise.
 
-    Written into ``out`` through the buffers ``sv`` and ``work``.
+        psi_sigma(d) = min over p > max(0, d) of lam p - sigma log p - sigma log(p - d)
+
+    The minimizer is the positive root of lam p^2 - (lam d + 2 sigma) p +
+    sigma d = 0,
+
+        p = (lam d + 2 sigma + sqrt(lam^2 d^2 + 4 sigma^2)) / (2 lam),
+
+    evaluated together with q = p - d so that neither loses digits to
+    cancellation.  By the envelope theorem the slope is sigma / q, and
+    differentiating the stationarity condition gives the curvature
+    sigma / (p^2 + q^2).  psi_sigma tends to lam max(d, 0) as sigma falls.
+    Returns (p, psi, slope, curvature), arrays shaped like d.
     """
-    np.multiply(v_diag, sigma, out=sv)
-    np.subtract(a, sv, out=out)
-    np.subtract(b, sv, out=work)
-    np.minimum(work, 0.0, out=work)
-    np.maximum(out, work, out=out)
+    two_sigma = 2.0 * sigma
+    ld = lam * d
+    far = np.hypot(ld, two_sigma) + np.abs(ld)   # sqrt(...) + lam |d|
+    near = two_sigma * two_sigma / far           # sqrt(...) - lam |d|
+    pos = d >= 0.0
+    p = (two_sigma + np.where(pos, far, near)) / (2.0 * lam)
+    q = (two_sigma + np.where(pos, near, far)) / (2.0 * lam)
+    psi = lam * p - sigma * np.log(p * q)
+    return p, psi, sigma / q, sigma / (p * p + q * q)
+
+
+class _Quadratic:
+    """Smooth regularizer eta'd + rho |d|^2; Newton sees it unchanged."""
+
+    moves_with_sigma = False
+
+    def __init__(self, eta, rho):
+        self.eta, self.rho = eta, rho
+
+    def __call__(self, d, sigma):
+        """Newton's value, the true value, gradient and Hessian diagonal."""
+        value = float(self.eta @ d + self.rho * (d @ d))
+        return value, value, self.eta + 2.0 * self.rho * d, 2.0 * self.rho
+
+
+class _PositivePart:
+    """Nonsmooth regularizer eta'd + lam sum(max(d, 0)); Newton sees its
+    barrier epigraph at the current sigma."""
+
+    moves_with_sigma = True
+    rho = 0.0
+
+    def __init__(self, eta, lam):
+        self.eta, self.lam = eta, lam
+
+    def __call__(self, d, sigma):
+        """Newton's value, the true value, gradient and Hessian diagonal."""
+        _, psi, slope, curvature = positive_part_epigraph(d, self.lam, sigma)
+        linear = float(self.eta @ d)
+        return (linear + float(psi.sum()),
+                linear + self.lam * float(np.maximum(d, 0.0).sum()),
+                self.eta + slope, curvature)
 
 
 # Armijo fraction of the predicted decrease a Newton step must achieve, and
@@ -314,64 +361,73 @@ def _barrier_factor(base, d):
     return (None, None) if c is None else (c, 2.0 * np.log(c.diagonal()).sum())
 
 
-def _newton(base, eta, rho, mu, ref_norm, config, trace, done):
-    """Damped Newton on the smooth objective at fixed rho, from d = 1.5 mu.
+def _newton(base, d, reg, slopes, ref_norm, restart_mu, config, trace, done):
+    """Damped Newton on reg - sigma logdet(base + diag d), starting from d.
 
-    sigma is cut when the gradient norm reaches eps_update * ref_norm (or
-    the line search stalls); the run converges once the regularizer
-    improves by less than eps_check (relative) between two cuts.  Trace rows
-    are numbered from ``done`` and name the largest coordinate move.
-    Returns (status, d, steps, sigma): "converged", "max_iter" or "restart".
+    reg(d, sigma) gives the regularizer's value as Newton sees it at the
+    current sigma, its true value, and Newton's gradient and Hessian
+    diagonal; reg.moves_with_sigma says whether a cut of sigma changes
+    them.  The first sigma balances ``slopes`` against diag V.  sigma is
+    cut when the gradient norm reaches eps_update * ref_norm (or the line
+    search stalls); the run converges once the true value improves by less
+    than eps_check (relative) between two cuts.  With restart_mu set, an
+    accepted iterate with a component above restart_factor * restart_mu
+    ends the run.  Trace rows are numbered from ``done`` and name the
+    largest coordinate move.  Returns (status, d, steps, sigma, true
+    value), status being "converged", "max_iter" or "restart".
     """
-    n = eta.size
-    d = np.full(n, 1.5 * mu)
+    n = d.size
     c, logdet = _barrier_factor(base, d)
     if c is None:
         raise ValueError("barrier matrix not positive definite at d = 1.5 mu")
     V = cholesky_solve(c, False, np.eye(n))
-    reg = float(eta @ d + rho * (d @ d))
-    sigma = sigma_init(eta + 2.0 * rho * d, V.diagonal())
-    level = math.inf  # regularizer at the previous cut of sigma
+    sigma = sigma_init(slopes, V.diagonal())
+    value, true, grad, curvature = reg(d, sigma)
+    level = math.inf  # true regularizer at the previous cut of sigma
     stalled, k = False, 0
     while True:
-        g = eta + 2.0 * rho * d - sigma * V.diagonal()
+        g = grad - sigma * V.diagonal()
         if stalled or math.sqrt(g @ g) <= config.eps_update * ref_norm:
-            if level - reg < config.eps_check * max(1.0, abs(level)):
-                return "converged", d, k, sigma
-            level = reg
+            if level - true < config.eps_check * max(1.0, abs(level)):
+                return "converged", d, k, sigma, true
+            level = true
             sigma = update_sigma(sigma, 0.0, ref_norm, config)
+            if reg.moves_with_sigma:
+                value, true, grad, curvature = reg(d, sigma)
             stalled = False
             continue
         if k == config.max_iter_per_var:
-            return "max_iter", d, k, sigma
+            return "max_iter", d, k, sigma, true
         H = sigma * V * V
-        H.flat[::n + 1] += 2.0 * rho
+        H.flat[::n + 1] += curvature
         c_h = cholesky_factor(H, lower=False)
         if c_h is None:
             stalled = True
             continue
         p = -cholesky_solve(c_h, False, g)
-        f, slope = reg - sigma * logdet, _ARMIJO * float(g @ p)
+        f, slope = value - sigma * logdet, _ARMIJO * float(g @ p)
         t = 1.0
         while t >= _MIN_STEP:  # only positive definite trials can pass
             trial = d + t * p
             c, logdet_t = _barrier_factor(base, trial)
             if c is not None:
-                reg_t = float(eta @ trial + rho * (trial @ trial))
-                if reg_t - sigma * logdet_t <= f + t * slope:
+                at_trial = reg(trial, sigma)
+                if at_trial[0] - sigma * logdet_t <= f + t * slope:
                     break
             t *= 0.5
         else:
             stalled = True
             continue
         k += 1
-        d, reg, logdet = trial, reg_t, logdet_t
+        d, logdet = trial, logdet_t
+        value, true, grad, curvature = at_trial
         V = cholesky_solve(c, False, np.eye(n))
         if trace is not None:
             i = int(np.abs(p).argmax())
-            trace.append((done + k, i, t * p.item(i), sigma, rho, reg))
-        if check_restart(float(np.abs(d).max()), mu, config.restart_factor):
-            return "restart", d, k, sigma
+            trace.append((done + k, i, t * p.item(i), sigma, reg.rho, true))
+        if restart_mu is not None and check_restart(
+                float(np.abs(d).max()), restart_mu, config.restart_factor):
+            return "restart", d, k, sigma, true
 
 
 def solve_smooth(inp: SeparationInput, config: SeparationConfig) -> SeparationResult:
@@ -392,16 +448,18 @@ def solve_smooth(inp: SeparationInput, config: SeparationConfig) -> SeparationRe
     eta_norm = float(np.linalg.norm(eta))
     rho = float(config.rho0)
     trace = [] if config.trace else None
+    d0 = np.full(n, 1.5 * mu)
     if eta_norm == 0.0:
         # exact relaxation point: every d separates equally, keep the seed
-        d0 = np.full(n, 1.5 * mu)
         return SeparationResult(d=d0, objective=rho * float(d0 @ d0),
                                 iterations=0, restarts=0, rho=rho, sigma=0.0,
                                 status="converged", trace=trace)
     total_steps = restarts = 0
     while True:
-        status, d, k, sigma = _newton(base, eta, rho, mu, eta_norm, config,
-                                      trace, total_steps)
+        reg = _Quadratic(eta, rho)
+        status, d, k, sigma, objective = _newton(
+            base, d0, reg, eta + 2.0 * rho * d0, eta_norm, mu, config, trace,
+            total_steps)
         total_steps += k
         if status == "restart":
             if restarts < config.max_restarts:
@@ -409,39 +467,19 @@ def solve_smooth(inp: SeparationInput, config: SeparationConfig) -> SeparationRe
                 rho *= config.rho_update
                 continue
             status = "restart_limit"  # d is still in D; report it
-        return SeparationResult(d=d, objective=float(eta @ d + rho * (d @ d)),
+        return SeparationResult(d=d, objective=objective,
                                 iterations=total_steps, restarts=restarts,
                                 rho=rho, sigma=sigma, status=status,
                                 trace=trace)
 
 
-def _nonsmooth_step(d_i, eta_i, beta_i, sigma, v_ii):
-    """Exact minimizer along one coordinate of the nonsmooth objective.
-
-    The one-dimensional function r(d_i + Delta) - sigma log(1 + Delta V_ii)
-    has slope beta_i right of the kink d_i + Delta = 0 and eta_i left of
-    it; the barrier derivative at the kink is sigma V_ii / t with
-    t = 1 - d_i V_ii.  Three cases: stationary point on the positive
-    branch, exactly at the kink, or on the negative branch.
-    """
-    t = 1.0 - d_i * v_ii
-    if t <= 0.0:
-        return sigma / beta_i - 1.0 / v_ii, False
-    ratio = sigma * v_ii / t
-    if ratio > beta_i:
-        return sigma / beta_i - 1.0 / v_ii, False
-    if ratio >= eta_i:
-        return -d_i, True
-    return sigma / eta_i - 1.0 / v_ii, False
-
-
 def solve_nonsmooth(inp: SeparationInput, config: SeparationConfig) -> SeparationResult:
-    """Coordinate descent with the one-sided regularizer lambda sum(max(d,0)).
+    """Damped Newton with the one-sided regularizer lambda sum(max(d, 0)).
 
-    lambda = sum(eta).  No restarts: the regularizer grows linearly, so the
-    iterates cannot run away the way the quadratic solver's can.  The index
-    choice uses the minimum-norm subgradient, and the coordinate step lands
-    exactly on the kink when the subdifferential there contains zero.
+    lambda = sum(eta).  Newton runs on the regularizer's barrier epigraph
+    (``positive_part_epigraph``) and stops on, and reports, its true value.
+    No restarts: the regularizer grows linearly, so the iterates cannot
+    run away the way the quadratic solver's can.
     """
     n = inp.n
     eta = inp.eta
@@ -449,52 +487,17 @@ def solve_nonsmooth(inp: SeparationInput, config: SeparationConfig) -> Separatio
     mu = _barrier_mu(base)
     lam = float(eta.sum())
     d = np.full(n, 1.5 * mu)
+    trace = [] if config.trace else None
     if lam <= 1e-14:
         # zero slack vector: every d has the same objective, keep the seed
         return SeparationResult(d=d, objective=0.0, iterations=0, restarts=0,
                                 rho=0.0, sigma=0.0, status="converged",
-                                trace=[] if config.trace else None)
-    beta = eta + lam
-    eta_l, beta_l = eta.tolist(), beta.tolist()
-    beta_norm = float(np.linalg.norm(beta))
-    inverse = factor_inverse(base + np.diag(d))
-    a, b = beta.copy(), beta.copy()  # left and right slopes; d starts > 0
-    sigma = sigma_init(a, inverse.diagonal())
-    trace = [] if config.trace else None
-
-    def objective(dv):
-        return float(eta @ dv + lam * np.maximum(dv, 0.0).sum())
-
-    max_iter = config.max_iter_per_var * n
-    check_every = config.check_every * n
-    s, sv, work = np.empty(n), np.empty(n), np.empty(n)
-    _min_norm_subgradient(a, b, sigma, inverse.diag, s, sv, work)
-    g_prev = objective(d)
-    status, k = "max_iter", 0
-    while k < max_iter:
-        k += 1
-        np.abs(s, out=work)
-        i = int(work.argmax())
-        d_i = d.item(i)
-        delta, at_kink = _nonsmooth_step(d_i, eta_l[i], beta_l[i], sigma,
-                                         inverse.diag.item(i))
-        d[i] = d_i = 0.0 if at_kink else d_i + delta
-        a[i] = beta_l[i] if d_i > 0.0 else eta_l[i]
-        b[i] = eta_l[i] if d_i < 0.0 else beta_l[i]
-        sherman_morrison_update(inverse, i, delta)
-        _min_norm_subgradient(a, b, sigma, inverse.diag, s, sv, work)
-        new_sigma = update_sigma(sigma, math.sqrt(s.dot(s)), beta_norm, config)
-        if new_sigma != sigma:
-            sigma = new_sigma
-            _min_norm_subgradient(a, b, sigma, inverse.diag, s, sv, work)
-        if trace is not None:
-            trace.append((k, i, delta, sigma, 0.0, objective(d)))
-        if k % check_every == 0:
-            g_now = objective(d)
-            if g_prev - g_now < config.eps_check * max(1.0, abs(g_prev)):
-                status = "converged"
-                break
-            g_prev = g_now
-    return SeparationResult(d=d, objective=objective(d), iterations=k,
+                                trace=trace)
+    beta = eta + lam  # slopes of the regularizer at the start d > 0
+    reg = _PositivePart(eta, lam)
+    status, d, k, sigma, objective = _newton(
+        base, d, reg, beta, float(np.linalg.norm(beta)), None, config, trace,
+        0)
+    return SeparationResult(d=d, objective=objective, iterations=k,
                             restarts=0, rho=0.0, sigma=sigma, status=status,
                             trace=trace)

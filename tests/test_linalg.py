@@ -1,4 +1,4 @@
-"""Eigenvalue, nullspace, feasibility, and tracked-inverse kernels."""
+"""Eigenvalue, nullspace, feasibility, and Cholesky kernels."""
 
 import numpy as np
 import pytest
@@ -7,18 +7,15 @@ import scipy.optimize
 
 from quadrelax import linalg
 from quadrelax.linalg import (
-    InverseState,
     box_rows_disjoint,
     cholesky_factor,
     cholesky_solve,
-    factor_inverse,
     independent_rows,
     min_eigenvalue,
     min_generalized_eigenvalue,
     nullspace_basis,
     projected_min_eigenvalue,
     psd_certificate,
-    sherman_morrison_update,
 )
 
 
@@ -269,94 +266,6 @@ class TestCholesky:
     def test_empty(self):
         c = cholesky_factor(np.zeros((0, 0)), False)
         assert cholesky_solve(c, False, np.eye(0)).shape == (0, 0)
-
-
-class TestInverseState:
-    def test_factor_anchor(self):
-        state = factor_inverse([[2.0, 1.0], [1.0, 2.0]])
-        assert np.allclose(state.V, np.array([[2, -1], [-1, 2]]) / 3.0)
-        assert state.update_count == 0
-
-    def test_factor_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="positive definite"):
-            factor_inverse([[1.0, 2.0], [2.0, 1.0]])
-
-    def test_factor_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            factor_inverse([[1.0, np.nan], [np.nan, 1.0]])
-
-    def test_v_stays_exactly_symmetric(self):
-        # sherman_morrison_update reads row i of V as column i
-        rng = np.random.default_rng(13)
-        n = 7
-        C = rng.normal(size=(n, n))
-        state = factor_inverse(C @ C.T + np.eye(n))
-        assert state.V.tobytes() == state.V.T.tobytes()
-        for _ in range(200):
-            sherman_morrison_update(state, int(rng.integers(n)),
-                                    float(rng.uniform(-0.2, 1.0)))
-            assert state.V.tobytes() == state.V.T.tobytes()
-        state.V[0, 0] += 0.5  # the next drift check refactors
-        while state.refactor_count == 0:
-            sherman_morrison_update(state, 1, 0.1)
-        assert state.V.tobytes() == state.V.T.tobytes()
-
-    def test_update_matches_dense_inverse(self):
-        rng = np.random.default_rng(5)
-        n = 6
-        C = rng.normal(size=(n, n))
-        M = C @ C.T + n * np.eye(n)
-        state = factor_inverse(M)
-        for _ in range(40):
-            i = int(rng.integers(n))
-            delta = float(rng.uniform(-0.3, 2.0))
-            if 1.0 + delta * state.V[i, i] <= 1e-6:
-                continue
-            sherman_morrison_update(state, i, delta)
-            M[i, i] += delta
-        assert np.allclose(state.M, M)
-        assert np.abs(state.V - np.linalg.inv(M)).max() < 1e-8
-
-    def test_update_precondition_enforced(self):
-        state = factor_inverse(np.eye(2))
-        with pytest.raises(ValueError, match="positive definiteness"):
-            sherman_morrison_update(state, 0, -1.0)
-        # state untouched by the failed update
-        assert state.update_count == 0
-        assert np.array_equal(state.V, np.eye(2))
-
-    def test_drift_check_refactors(self):
-        # Corrupt V, then push update_count to a multiple of n: the drift
-        # check must restore V from the exactly tracked M.
-        state = factor_inverse(np.diag([1.0, 4.0]))
-        state.V[0, 0] += 0.5
-        sherman_morrison_update(state, 1, 1.0)
-        sherman_morrison_update(state, 1, 1.0)
-        assert state.refactor_count == 1
-        assert np.abs(state.M @ state.V - np.eye(2)).max() < 1e-10
-
-    def test_tracked_diagonal_is_bitwise_diag_of_v(self):
-        rng = np.random.default_rng(9)
-        n = 5
-        C = rng.normal(size=(n, n))
-        state = factor_inverse(C @ C.T + np.eye(n))
-        assert state.diagonal().tobytes() == np.diag(state.V).tobytes()
-        for _ in range(12):
-            sherman_morrison_update(state, int(rng.integers(n)),
-                                    float(rng.uniform(0.0, 2.0)))
-            assert state.diag.tobytes() == np.diag(state.V).tobytes()
-        # corrupt V so the next drift check refactors it
-        state.V[0, 0] += 0.5
-        while state.refactor_count == 0:
-            sherman_morrison_update(state, 1, 0.1)
-        assert state.diag.tobytes() == np.diag(state.V).tobytes()
-        assert state.diag[0] == pytest.approx(np.linalg.inv(state.M)[0, 0])
-
-    def test_update_count_tracks(self):
-        state = factor_inverse(np.eye(3))
-        for k in range(5):
-            sherman_morrison_update(state, k % 3, 0.1)
-        assert state.update_count == 5
 
 
 class TestPsdCertificate:

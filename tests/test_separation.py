@@ -1,4 +1,4 @@
-"""Separation: coordinate steps, restarts, and full solves."""
+"""Separation: coordinate steps, the barrier epigraph, restarts, and full solves."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from quadrelax.separation import (
     check_restart,
     coordinate_step_smooth,
     eta_from_relaxation,
+    positive_part_epigraph,
     rho_init,
     sigma_init,
     solve_nonsmooth,
@@ -215,6 +216,62 @@ class TestSolveNonsmooth:
         assert res.d[0] < 0.0
         lam = min_eigenvalue(Q + np.diag(res.d))
         assert lam >= -1e-8
+
+
+    def test_one_variable_limit(self):
+        # Q = [[-1]] admits exactly d >= 1, and lambda = eta, so the
+        # regularizer is 2 eta d on d > 0: the minimum is d = 1, 2 eta.
+        for eta in (0.5, 3.0):
+            inp = SeparationInput(Q=[[-1.0]], A=np.zeros((0, 1)), alpha=0.0,
+                                  eta=[eta])
+            res = solve_nonsmooth(inp, SeparationConfig())
+            assert res.status == "converged"
+            assert 1.0 < res.d[0] < 1.0 + 1e-3
+            assert res.objective == pytest.approx(2.0 * eta, rel=1e-3)
+            assert res.objective == pytest.approx(2.0 * eta * res.d[0],
+                                                  rel=1e-14)
+
+
+class TestPositivePartEpigraph:
+    D = np.array([-1e3, -7.0, -0.3, -1e-9, 0.0, 1e-9, 0.3, 7.0, 1e3])
+
+    @pytest.mark.parametrize("lam", [0.3, 2.0, 50.0])
+    @pytest.mark.parametrize("sigma", [1e-6, 1e-2, 1.0])
+    def test_minimizer_is_stationary(self, lam, sigma):
+        d = self.D
+        p, _, slope, _ = positive_part_epigraph(d, lam, sigma)
+        assert np.all(p > np.maximum(d, 0.0))
+        # lam - sigma / p - sigma / (p - d) = 0, the slope being the last term
+        assert np.abs(lam - sigma / p - slope).max() <= 1e-12 * lam
+        # the same condition cleared of denominators, a statement about p alone
+        resid = lam * p * p - (lam * d + 2.0 * sigma) * p + sigma * d
+        scale = np.maximum.reduce([lam * p * p,
+                                   np.abs(lam * d + 2.0 * sigma) * p,
+                                   sigma * np.abs(d)])
+        assert np.all(np.abs(resid) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("sigma", [0.05, 1.0])
+    def test_slope_and_curvature_match_differences(self, sigma):
+        lam = 2.0
+        d = np.array([-7.0, -0.3, 0.0, 0.3, 7.0])
+        h = 1e-5
+        _, _, slope, curvature = positive_part_epigraph(d, lam, sigma)
+        _, up, slope_up, _ = positive_part_epigraph(d + h, lam, sigma)
+        _, down, slope_down, _ = positive_part_epigraph(d - h, lam, sigma)
+        assert np.allclose((up - down) / (2 * h), slope, rtol=1e-7, atol=1e-9)
+        assert np.allclose((slope_up - slope_down) / (2 * h), curvature,
+                           rtol=1e-6, atol=1e-9)
+        assert np.all(curvature > 0.0)
+
+    def test_tends_to_positive_part(self):
+        lam = 2.0
+        d = np.array([-0.7, 0.0, 0.7])
+        gaps = [np.abs(positive_part_epigraph(d, lam, sigma)[1]
+                       - lam * np.maximum(d, 0.0))
+                for sigma in (1e-2, 1e-4, 1e-6)]
+        for wide, narrow in zip(gaps, gaps[1:]):
+            assert np.all(narrow < wide)
+        assert gaps[-1].max() < 1e-4
 
 
 class TestInputValidation:

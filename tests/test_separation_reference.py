@@ -1,28 +1,29 @@
 """The separation solvers against verbatim copies of coordinate descent.
 
 ``reference_smooth`` and ``reference_nonsmooth`` rebuild diag(V), the
-gradient and the objective anew every coordinate step.  ``solve_nonsmooth``
-keeps that state up to date incrementally with the same floating-point
-operations, so every result field and every trace row must match bit for
-bit.  ``solve_smooth`` runs damped Newton on the same objective, so it is
-held to a contract instead: its d passes a Cholesky test for D on every
-seed, a zero slack vector returns the seed untouched, and wherever the
-reference converges at a final rho the Newton run ends at too, it converges
-with an objective at most ``SMOOTH_OBJ_TOL`` (relative) above the
-reference's.
+gradient and the objective anew every coordinate step; they run on
+test-local copies of the tracked inverse and the nonsmooth coordinate step
+that the solvers used before both became damped Newton.  The solvers are
+held to a contract instead of bit identity: their d passes a Cholesky
+test for D on every seed, a zero slack vector returns the seed untouched,
+tracing does not change the run, the iteration cap counts Newton steps,
+and wherever the reference converges (for ``solve_smooth``, at the final
+rho its Newton run ends at too) the Newton run converges with an
+objective at most ``SMOOTH_OBJ_TOL`` or ``NONSMOOTH_OBJ_TOL`` (relative)
+above the reference's.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from quadrelax import linalg, separation
-from quadrelax.linalg import factor_inverse, sherman_morrison_update
+from quadrelax import linalg
 from quadrelax.separation import (
     SeparationConfig,
     SeparationInput,
     SeparationResult,
     _barrier_mu,
-    _nonsmooth_step,
     check_restart,
     coordinate_step_smooth,
     sigma_init,
@@ -30,6 +31,112 @@ from quadrelax.separation import (
     solve_smooth,
     update_sigma,
 )
+
+# The references check their objective every this many times n steps.
+CHECK_EVERY = 10
+
+# Relative residual of M @ V - I above which a tracked inverse is refactored.
+_DRIFT_TOL = 1e-8
+
+
+@dataclass
+class InverseState:
+    """Tracked inverse V of a positive definite matrix M.
+
+    ``sherman_morrison_update`` applies rank-one diagonal modifications
+    M <- M + delta e_i e_i^T cheaply to V, in place, while keeping M itself
+    exact.  Every n updates the product M @ V is checked against the
+    identity and V is refactored from M if the accumulated drift exceeds
+    tolerance.  ``diag`` is a read-only view of V's diagonal, so it carries
+    every update bit for bit at no cost; it is re-bound when a refactor
+    replaces V.  ``work`` is scratch space for the rank-one term.
+    """
+
+    M: np.ndarray
+    V: np.ndarray
+    update_count: int = 0
+    refactor_count: int = field(default=0, compare=False)
+    diag: np.ndarray = field(init=False, repr=False, compare=False)
+    work: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.diag = self.V.diagonal()
+        self.work = np.empty_like(self.V)
+
+    @property
+    def n(self) -> int:
+        return self.M.shape[0]
+
+    def diagonal(self) -> np.ndarray:
+        """The tracked diagonal of V (read-only)."""
+        return self.diag
+
+
+def factor_inverse(M) -> InverseState:
+    """Factor a symmetric positive definite matrix and return its inverse state.
+
+    Raises ValueError if M is not positive definite.
+    """
+    M = linalg._as_symmetric_matrix(M)
+    c = linalg.cholesky_factor(M, lower=False)
+    if c is None:
+        raise ValueError("matrix is not positive definite")
+    V = linalg.cholesky_solve(c, False, np.eye(M.shape[0]))
+    V = 0.5 * (V + V.T)
+    return InverseState(M=M.copy(), V=V)
+
+
+def sherman_morrison_update(state: InverseState, i: int, delta: float) -> None:
+    """Apply M <- M + delta e_i e_i^T to a tracked inverse, in place.
+
+    Requires 1 + delta * V[i, i] > 0, which keeps the updated matrix
+    positive definite; violating it raises ValueError and leaves the state
+    untouched.  Every n-th update triggers a drift check of M @ V against
+    the identity, refactoring V from the exactly tracked M if needed.
+    """
+    n = state.n
+    if not 0 <= i < n:
+        raise ValueError(f"index {i} out of range for n={n}")
+    denom = 1.0 + delta * state.V[i, i]
+    if denom <= 0.0:
+        raise ValueError(
+            f"update would lose positive definiteness (1 + delta*V_ii = {denom:.3e})")
+    # row i is column i: V stays exactly symmetric (it is symmetrised when
+    # factored and every update subtracts a symmetric outer product)
+    vi = state.V[i]
+    outer = np.multiply.outer(vi, vi, out=state.work)
+    outer *= delta / denom
+    state.V -= outer
+    state.M[i, i] += delta
+    state.update_count += 1
+    if state.update_count % n == 0:
+        scale = max(1.0, np.abs(state.M).max())
+        drift = np.abs(state.M @ state.V - np.eye(n)).max()
+        if drift > _DRIFT_TOL * scale:
+            state.V = factor_inverse(state.M).V
+            state.diag = state.V.diagonal()
+            state.refactor_count += 1
+
+
+def _nonsmooth_step(d_i, eta_i, beta_i, sigma, v_ii):
+    """Exact minimizer along one coordinate of the nonsmooth objective.
+
+    The one-dimensional function r(d_i + Delta) - sigma log(1 + Delta V_ii)
+    has slope beta_i right of the kink d_i + Delta = 0 and eta_i left of
+    it; the barrier derivative at the kink is sigma V_ii / t with
+    t = 1 - d_i V_ii.  Three cases: stationary point on the positive
+    branch, exactly at the kink, or on the negative branch.
+    """
+    t = 1.0 - d_i * v_ii
+    if t <= 0.0:
+        return sigma / beta_i - 1.0 / v_ii, False
+    ratio = sigma * v_ii / t
+    if ratio > beta_i:
+        return sigma / beta_i - 1.0 / v_ii, False
+    if ratio >= eta_i:
+        return -d_i, True
+    return sigma / eta_i - 1.0 / v_ii, False
+
 
 
 def reference_smooth(inp: SeparationInput, config: SeparationConfig) -> SeparationResult:
@@ -49,7 +156,7 @@ def reference_smooth(inp: SeparationInput, config: SeparationConfig) -> Separati
                                 trace=[] if config.trace else None)
     rho = float(config.rho0)
     max_iter = config.max_iter_per_var * n
-    check_every = config.check_every * n
+    check_every = CHECK_EVERY * n
     trace = [] if config.trace else None
     total_steps = 0
     restarts = 0
@@ -131,7 +238,7 @@ def reference_nonsmooth(inp: SeparationInput, config: SeparationConfig) -> Separ
     sigma = sigma_init(np.where(d > 0.0, beta, eta), inverse.diagonal())
     beta_norm = float(np.linalg.norm(beta))
     max_iter = config.max_iter_per_var * n
-    check_every = config.check_every * n
+    check_every = CHECK_EVERY * n
     trace = [] if config.trace else None
 
     def g_value(dv):
@@ -184,9 +291,10 @@ def seeded_case(seed):
     return inp, cfg
 
 
-# Seeds of ``seeded_case`` that between them take every path of both
-# solvers (332 is the one whose nonsmooth run refactors its tracked
-# inverse); ``test_seeds_cover_every_path`` keeps the list honest.
+# Seeds of ``seeded_case`` that between them take every path of the
+# smooth solver and both branch signs of the nonsmooth one (332 was added
+# for a refactor of the coordinate-descent solver's tracked inverse);
+# ``test_seeds_cover_every_path`` keeps the list honest.
 SEEDS = [0, 1, 2, 4, 5, 6, 9, 10, 11, 61, 97, 101, 191, 332]
 
 SOLVERS = {"smooth": (solve_smooth, reference_smooth),
@@ -198,6 +306,15 @@ SOLVERS = {"smooth": (solve_smooth, reference_smooth),
 # of eps_check = 1e-4, the relative improvement below which both stop.
 SMOOTH_OBJ_TOL = 2e-4
 
+# Over the same seeds the nonsmooth Newton run converges at most 3.43e-4
+# (relative) above the reference (seed 207; then 191 at 3.38e-4 and 10 at
+# 3.17e-4), and up to 7.6e-4 below it (seed 219): its stop rule sees the
+# true regularizer move by less than eps_check between two cuts of sigma
+# while the barrier gap still holds a few eps_check.
+NONSMOOTH_OBJ_TOL = 5e-4
+
+OBJ_TOL = {"smooth": SMOOTH_OBJ_TOL, "nonsmooth": NONSMOOTH_OBJ_TOL}
+
 
 def assert_bitwise_equal(new, ref):
     assert new.d.tobytes() == ref.d.tobytes()
@@ -208,7 +325,7 @@ def assert_bitwise_equal(new, ref):
     assert new.trace == ref.trace
 
 
-def assert_smooth_contract(inp, cfg, new, ref):
+def assert_contract(mode, inp, cfg, new, ref):
     barrier = inp.barrier_base() + np.diag(new.d)
     assert linalg.cholesky_factor(barrier, lower=False) is not None
     if cfg.trace:
@@ -219,7 +336,7 @@ def assert_smooth_contract(inp, cfg, new, ref):
     if ref.status == "converged" and new.rho == ref.rho:
         assert new.status == "converged"
         assert new.objective <= ref.objective \
-            + SMOOTH_OBJ_TOL * max(1.0, abs(ref.objective))
+            + OBJ_TOL[mode] * max(1.0, abs(ref.objective))
 
 
 @pytest.mark.parametrize("trace", [False, True])
@@ -230,14 +347,11 @@ def test_matches_reference(seed, mode, trace):
     cfg.trace = trace
     solve, reference = SOLVERS[mode]
     new, ref = solve(inp, cfg), reference(inp, cfg)
-    if mode == "nonsmooth":
-        assert_bitwise_equal(new, ref)
-    else:
-        assert_smooth_contract(inp, cfg, new, ref)
-        cfg.trace = not trace  # tracing must not change the run
-        other = solve(inp, cfg)
-        assert other.d.tobytes() == new.d.tobytes()
-        assert (other.iterations, other.status) == (new.iterations, new.status)
+    assert_contract(mode, inp, cfg, new, ref)
+    cfg.trace = not trace  # tracing must not change the run
+    other = solve(inp, cfg)
+    assert other.d.tobytes() == new.d.tobytes()
+    assert (other.iterations, other.status) == (new.iterations, new.status)
 
 
 @pytest.mark.parametrize("mode", ["smooth", "nonsmooth"])
@@ -249,12 +363,9 @@ def test_iteration_budget_matches_reference(seed, mode):
     solve, reference = SOLVERS[mode]
     new = solve(inp, cfg)
     assert new.status == "max_iter"
-    if mode == "nonsmooth":
-        assert_bitwise_equal(new, reference(inp, cfg))
-    else:
-        # the cap counts Newton steps per restart round
-        assert new.iterations <= 2 * (new.restarts + 1)
-        assert_smooth_contract(inp, cfg, new, reference(inp, cfg))
+    # the cap counts Newton steps per round; nonsmooth runs one round
+    assert new.iterations <= 2 * (new.restarts + 1)
+    assert_contract(mode, inp, cfg, new, reference(inp, cfg))
 
 
 @pytest.mark.parametrize("trace", [False, True])
@@ -270,24 +381,7 @@ def test_zero_slack_matches_reference(mode, trace):
     assert_bitwise_equal(new, reference(inp, cfg))
 
 
-def test_seeds_cover_every_path(monkeypatch):
-    refactors = [0]
-    kinks = [0]
-    factor = linalg.factor_inverse
-    step = separation._nonsmooth_step
-
-    def counting_factor(M):
-        refactors[0] += 1
-        return factor(M)
-
-    def counting_step(*args):
-        out = step(*args)
-        kinks[0] += out[1]
-        return out
-
-    # only refactors reach factor_inverse through the linalg namespace
-    monkeypatch.setattr(linalg, "factor_inverse", counting_factor)
-    monkeypatch.setattr(separation, "_nonsmooth_step", counting_step)
+def test_seeds_cover_every_path():
     seen = set()
     for seed in SEEDS:
         inp, cfg = seeded_case(seed)
@@ -299,6 +393,5 @@ def test_seeds_cover_every_path(monkeypatch):
             seen.add("restarted")
         if solve_nonsmooth(inp, cfg).d.min() < 0.0:
             seen.add("negative")
-    assert refactors[0] > 0 and kinks[0] > 0
     assert {"rows", "converged", "max_iter", "restart_limit", "restarted",
             "negative"} <= seen
