@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .linalg import projected_min_eigenvalue
 from .model import MiqpInstance, evaluate_objective, is_feasible
 from .relax import (
     InfeasibleRelaxation,
@@ -167,8 +166,8 @@ def _fold_slice(instance, node, red) -> NodeBound | None:
 
 
 def bound_node(instance: MiqpInstance, node: Node, alpha: float,
-               separate: bool = True,
-               prune_at: float = np.inf) -> NodeBound:
+               separate: bool = True, prune_at: float = np.inf, *,
+               structures: dict | None = None) -> NodeBound:
     """Bound one node: inherited-d QP, then a conditional separation pass.
 
     Slices with at most 512 remaining discrete combinations are enumerated
@@ -181,11 +180,16 @@ def bound_node(instance: MiqpInstance, node: Node, alpha: float,
     descendants inherit.  A first bound at or above prune_at already
     fathoms the node, so the separation pass is skipped there.
 
+    structures is passed to ``ReducedProblem.build``: a dict kept across
+    the nodes of one search lets each free set derive its structure, and
+    the convexity gate its eigenvalue, once.
+
     Raises InfeasibleRelaxation when the slice is empty.  A node whose
     QP misses KKT certification twice keeps the inherited bound
     (certified=False, no solution).
     """
-    red = ReducedProblem.build(instance, node.lower, node.upper)
+    red = ReducedProblem.build(instance, node.lower, node.upper,
+                               structures=structures)
     bounds = (node.lower, node.upper)
     if red.n_free == 0:
         sol = solve_qp_child(instance, node.d, bounds, red=red)
@@ -196,7 +200,7 @@ def bound_node(instance: MiqpInstance, node: Node, alpha: float,
         return folded
 
     scale = max(1.0, float(np.abs(red.Qr).max(initial=0.0)))
-    if projected_min_eigenvalue(red.Qr, red.basis) >= -1e-9 * scale:
+    if red.structure.nullspace_min_eigenvalue >= -1e-9 * scale:
         sol = _solve_child(instance, np.zeros(instance.n), bounds, red=red)
         if sol is None:
             return NodeBound(node.lb, node.d, None, certified=False)
@@ -380,6 +384,7 @@ def solve(instance: MiqpInstance, config: BnbConfig | None = None) -> SolveRepor
 
     nodes = 1
     max_stored = 0
+    structures = {}     # free-set structure, shared by the nodes of a set
     ubd, best_x = _update_incumbent(instance, root_sol, ubd, best_x)
     root_node = Node(instance.lower.copy(), instance.upper.copy(),
                      d_root, root_lb, 0)
@@ -432,7 +437,8 @@ def solve(instance: MiqpInstance, config: BnbConfig | None = None) -> SolveRepor
                 # bound quality only matters once something can be pruned
                 nb = bound_node(instance, child, sel.alpha,
                                 separate=separate and np.isfinite(ubd),
-                                prune_at=ubd - cfg.abs_tol)
+                                prune_at=ubd - cfg.abs_tol,
+                                structures=structures)
             except InfeasibleRelaxation:
                 nodes += 1
                 continue

@@ -126,9 +126,9 @@ def _refined_solve(fac, K_used, K, rhs):
 
 def _fraction_to_boundary(x, dx, frac=0.995):
     neg = dx < 0
-    if not np.any(neg):
+    if not neg.any():
         return 1.0
-    return min(1.0, frac * np.min(-x[neg] / dx[neg]))
+    return min(1.0, frac * (-x[neg] / dx[neg]).min())
 
 
 def solve_qcqp(P0, c0, r0, constraints, G=None, h=None, squares=None, z0=None,
@@ -175,6 +175,7 @@ def solve_qcqp(P0, c0, r0, constraints, G=None, h=None, squares=None, z0=None,
         raise ValueError(f"square block S {sq.S.shape}, s {sq.s.shape}, "
                          f"F {sq.F.shape}, f {sq.f.shape}; expected ({nb}, {n})")
     p = q + nb + G.shape[0]
+    linear = q == 0 and sq is None    # no row curves: J and H are fixed
 
     if p == 0:
         z = np.linalg.lstsq(P0, -c0, rcond=None)[0] if n else np.zeros(0)
@@ -222,14 +223,15 @@ def solve_qcqp(P0, c0, r0, constraints, G=None, h=None, squares=None, z0=None,
     it = 0
     for it in range(1, max_iter + 1):
         obj = float(0.5 * z @ P0 @ z + c0 @ z + r0)
-        phi = (rd_norm / (obj_scale * max(1.0, np.abs(z).max(initial=0.0)))
+        z_max = max(1.0, np.abs(z).max(initial=0.0))
+        phi = (rd_norm / (obj_scale * z_max)
                + rp_norm / row_scale + mu / (1.0 + abs(obj)))
         if phi < 0.9 * best_phi:
             last_improve = it
         if phi < best_phi:
             best_phi = phi
             best = (z.copy(), lam.copy(), obj, rd_norm, rp_norm, mu, it - 1)
-        if (rd_norm <= tol_feas * obj_scale * max(1.0, np.abs(z).max(initial=0.0))
+        if (rd_norm <= tol_feas * obj_scale * z_max
                 and rp_norm <= tol_feas * row_scale
                 and mu <= tol_gap * (1.0 + abs(obj))):
             return IpmResult(z=z, lam=lam.copy(), obj=obj, status="optimal",
@@ -239,12 +241,15 @@ def solve_qcqp(P0, c0, r0, constraints, G=None, h=None, squares=None, z0=None,
             status = "stalled"
             break
 
-        H = P0.copy()
-        for j, c in enumerate(cons):
-            if lam[j] != 0.0:
-                H += lam[j] * c.P
-        if sq is not None:
-            H += (sq.S.T * (2.0 * lam[q:q + nb])) @ sq.S
+        if linear:
+            H = P0
+        else:
+            H = P0.copy()
+            for j, c in enumerate(cons):
+                if lam[j] != 0.0:
+                    H += lam[j] * c.P
+            if sq is not None:
+                H += (sq.S.T * (2.0 * lam[q:q + nb])) @ sq.S
         K = H + (J.T * (lam / s)) @ J
         fac, K_used = _factor_with_reg(K)
         if fac is None:
@@ -267,12 +272,14 @@ def solve_qcqp(P0, c0, r0, constraints, G=None, h=None, squares=None, z0=None,
         # constraint curvature (the predictor step overshoots a curved
         # boundary by 1/2 dz'P dz, which untreated sustains limit cycles).
         rc = lam * s - sigma * mu + ds_aff * dl_aff
-        r_p_c = r_p.copy()
-        step_aff = a_aff * dz_aff
-        for j, c in enumerate(cons):
-            r_p_c[j] += 0.5 * step_aff @ (c.P @ step_aff)
-        if sq is not None:
-            r_p_c[q:q + nb] += (sq.S @ step_aff) ** 2
+        r_p_c = r_p
+        if not linear:
+            r_p_c = r_p.copy()
+            step_aff = a_aff * dz_aff
+            for j, c in enumerate(cons):
+                r_p_c[j] += 0.5 * step_aff @ (c.P @ step_aff)
+            if sq is not None:
+                r_p_c[q:q + nb] += (sq.S @ step_aff) ** 2
         rhs = -(r_d + J.T @ ((lam * r_p_c - rc) / s))
         dz = _refined_solve(fac, K_used, K, rhs)
         d_sl = np.empty(2 * p)

@@ -19,7 +19,9 @@ bound.
 
 ``ReducedProblem`` restricts the instance to a node: it eliminates fixed
 variables and dependent rows and raises ``InfeasibleRelaxation`` for an
-empty node.  Whether the node box meets {Ax = b} is decided by a
+empty node.  What depends on the free set alone is one read-only
+``FreeSetStructure``, which a caller's ``structures`` dict shares across
+the nodes of a search.  Whether the node box meets {Ax = b} is decided by a
 projected-midpoint witness and then exactly by ``linalg.box_rows_disjoint``,
 a dense phase-1 simplex, so no LP solver is called here.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +61,7 @@ __all__ = [
     "CuttingSurfaceResult",
     "InfeasibleRelaxation",
     "SolveFailure",
+    "FreeSetStructure",
     "ReducedProblem",
     "select_alpha",
     "initial_perturbation",
@@ -231,14 +235,76 @@ def initial_perturbation(instance: MiqpInstance, alpha: float):
 # node reduction
 
 
+@dataclass(eq=False)
+class FreeSetStructure:
+    """What a node reduction derives from its free-variable set alone.
+
+    Qr = Q[free, free]; the columns of A at the free variables, split into
+    the rows that vanish there (``zero_rows``) and the rest (``kept``, with
+    their slice ``A_kept``); the independent subset ``rows`` of A_kept and
+    the ``dropped`` remainder; Ar = A_kept[rows]; the nullspace basis of
+    Ar; and the mask and G block of ``_box_rows`` at width ``basis.dim``.
+    The arrays are read-only, since every node of the set shares them.
+    """
+
+    Qr: np.ndarray
+    kept: list
+    zero_rows: list
+    A_kept: np.ndarray
+    rows: list
+    dropped: list
+    Ar: np.ndarray
+    basis: NullspaceBasis
+    box_keep: np.ndarray       # free coordinates that get box rows
+    box_G: np.ndarray
+
+    @staticmethod
+    def derive(inst: MiqpInstance, free: np.ndarray) -> "FreeSetStructure":
+        Qr = inst.Q[np.ix_(free, free)] if free.size else np.zeros((0, 0))
+        kept, zero_rows = [], []    # positions in A's rows
+        if inst.m:
+            cols = inst.A[:, free] if free.size else np.zeros((inst.m, 0))
+            a_scale = max(1.0, float(np.abs(inst.A).max()))
+            vanish = np.abs(cols).max(axis=1, initial=0.0) <= 1e-12 * a_scale
+            zero_rows = np.flatnonzero(vanish).tolist()
+            kept = np.flatnonzero(~vanish).tolist()
+            A_kept = cols[kept]
+        else:
+            A_kept = np.zeros((0, free.size))
+        rows, dropped = list(range(A_kept.shape[0])), []
+        if A_kept.shape[0] and free.size:
+            rows, dropped = independent_rows(A_kept, 1e-10)
+        Ar = A_kept[rows] if dropped else A_kept
+        basis = nullspace_basis(Ar, free.size) if free.size \
+            else NullspaceBasis(Z=np.zeros((0, 0)))
+        Z = basis.Z
+        box_keep = np.abs(Z).max(axis=1, initial=0.0) > 1e-12
+        Zk = Z[box_keep]
+        box_G = np.zeros((2 * Zk.shape[0], Z.shape[1]))
+        box_G[0::2] = Zk
+        box_G[1::2] = -Zk
+        for a in (Qr, A_kept, Ar, Z, box_G):
+            a.flags.writeable = False
+        return FreeSetStructure(Qr=Qr, kept=kept, zero_rows=zero_rows,
+                                A_kept=A_kept, rows=rows, dropped=dropped,
+                                Ar=Ar, basis=basis, box_keep=box_keep,
+                                box_G=box_G)
+
+    @cached_property
+    def nullspace_min_eigenvalue(self) -> float:
+        """Smallest eigenvalue of Z^T Qr Z, computed on first use."""
+        return projected_min_eigenvalue(self.Qr, self.basis)
+
+
 @dataclass
 class ReducedProblem:
     """Instance restricted to node bounds with fixed variables eliminated.
 
     Carries the free-variable data (Qr, qr, Ar, br, bounds), the constant
     objective offset from fixed variables, the nullspace basis of Ar, and a
-    least-norm particular solution x_hat of Ar x = br.  Construction raises
-    InfeasibleRelaxation when emptiness is detected.
+    least-norm particular solution x_hat of Ar x = br.  Qr, Ar and the
+    basis come from ``structure``, which depends on the free set alone.
+    Construction raises InfeasibleRelaxation when emptiness is detected.
     """
 
     inst: MiqpInstance
@@ -247,21 +313,42 @@ class ReducedProblem:
     fixed_values: np.ndarray
     lower: np.ndarray          # node bounds of free variables
     upper: np.ndarray
-    Qr: np.ndarray
     qr: np.ndarray             # q_free + 2 Q[free, fixed] x_fixed
-    Ar: np.ndarray
     br: np.ndarray
     const: float               # objective contribution of fixed variables
     quad_fixed: float          # x_fixed^T Q_ff x_fixed (cut-row offset)
-    basis: NullspaceBasis
     x_hat: np.ndarray
+    structure: FreeSetStructure
+
+    @property
+    def Qr(self) -> np.ndarray:
+        return self.structure.Qr
+
+    @property
+    def Ar(self) -> np.ndarray:
+        return self.structure.Ar
+
+    @property
+    def basis(self) -> NullspaceBasis:
+        return self.structure.basis
 
     @property
     def n_free(self) -> int:
         return self.free.shape[0]
 
     @staticmethod
-    def build(inst: MiqpInstance, lower, upper) -> "ReducedProblem":
+    def build(inst: MiqpInstance, lower, upper, *,
+              structures: dict | None = None) -> "ReducedProblem":
+        """Reduce the instance to the node box [lower, upper].
+
+        structures, when given, is a dict the caller keeps for one instance
+        (``bnb.solve`` keeps one per solve): the ``FreeSetStructure`` of
+        each free set is derived on the first node with that set and
+        reused by the later ones.  Every node still computes its own
+        fixed-value terms (qr, const, br), checks its zero and dependent
+        rows against br, solves for x_hat and tests the box against the
+        rows, so the result is the same with or without the dict.
+        """
         lower = np.asarray(lower, dtype=float).reshape(-1)
         upper = np.asarray(upper, dtype=float).reshape(-1)
         if lower.shape[0] != inst.n or upper.shape[0] != inst.n:
@@ -285,45 +372,42 @@ class ReducedProblem:
         lo_f = np.array(lo_f, dtype=float)
         up_f = np.array(up_f, dtype=float)
 
+        key = free.tobytes()
+        structure = None if structures is None else structures.get(key)
+        if structure is None:
+            structure = FreeSetStructure.derive(inst, free)
+            if structures is not None:
+                structures[key] = structure
+
         Qff = inst.Q[np.ix_(fixed, fixed)] if fixed.size else np.zeros((0, 0))
         quad_fixed = float(xf @ Qff @ xf) if fixed.size else 0.0
         const = quad_fixed + (float(inst.q[fixed] @ xf) if fixed.size else 0.0)
-        Qr = inst.Q[np.ix_(free, free)] if free.size else np.zeros((0, 0))
         qr = inst.q[free].copy() if free.size else np.zeros(0)
         if fixed.size and free.size:
             qr = qr + 2.0 * (inst.Q[np.ix_(free, fixed)] @ xf)
 
         if inst.m:
-            Ar = inst.A[:, free] if free.size else np.zeros((inst.m, 0))
             br = inst.b - (inst.A[:, fixed] @ xf if fixed.size else 0.0)
-            a_scale = max(1.0, float(np.abs(inst.A).max()))
             b_scale = max(1.0, float(np.abs(inst.b).max(initial=0.0)))
-            keep = []
-            for r in range(Ar.shape[0]):
-                if np.abs(Ar[r]).max(initial=0.0) <= 1e-12 * a_scale:
-                    if abs(br[r]) > 1e-8 * b_scale:
-                        raise InfeasibleRelaxation(
-                            f"equality row {r} reduces to 0 = {br[r]:.3e}")
-                else:
-                    keep.append(r)
-            Ar, br = Ar[keep], br[keep]
-            if Ar.shape[0] and free.size:
-                # drop rows made dependent by the fixing; inconsistency
-                # means the node is empty
-                rows, dropped = independent_rows(Ar, 1e-10)
-                if dropped:
-                    sol, *_ = np.linalg.lstsq(Ar, br, rcond=None)
-                    resid = np.abs(Ar @ sol - br).max(initial=0.0)
-                    if resid > 1e-8 * max(b_scale, a_scale):
-                        raise InfeasibleRelaxation("dependent equality rows "
-                                                   "are inconsistent")
-                    Ar, br = Ar[rows], br[rows]
+            for r in structure.zero_rows:
+                if abs(br[r]) > 1e-8 * b_scale:
+                    raise InfeasibleRelaxation(
+                        f"equality row {r} reduces to 0 = {br[r]:.3e}")
+            br = br[structure.kept]
+            if structure.dropped:
+                # rows made dependent by the fixing; inconsistency means
+                # the node is empty
+                sol, *_ = np.linalg.lstsq(structure.A_kept, br, rcond=None)
+                resid = np.abs(structure.A_kept @ sol - br).max(initial=0.0)
+                a_scale = max(1.0, float(np.abs(inst.A).max()))
+                if resid > 1e-8 * max(b_scale, a_scale):
+                    raise InfeasibleRelaxation("dependent equality rows "
+                                               "are inconsistent")
+                br = br[structure.rows]
         else:
-            Ar = np.zeros((0, free.size))
             br = np.zeros(0)
 
-        basis = nullspace_basis(Ar, free.size) if free.size \
-            else NullspaceBasis(Z=np.zeros((0, 0)))
+        Ar = structure.Ar
         if free.size and Ar.shape[0]:
             x_hat, *_ = np.linalg.lstsq(Ar, br, rcond=None)
             resid = float(np.abs(Ar @ x_hat - br).max(initial=0.0))
@@ -335,8 +419,9 @@ class ReducedProblem:
 
         red = ReducedProblem(inst=inst, free=free, fixed=fixed,
                              fixed_values=xf, lower=lo_f, upper=up_f,
-                             Qr=Qr, qr=qr, Ar=Ar, br=br, const=const,
-                             quad_fixed=quad_fixed, basis=basis, x_hat=x_hat)
+                             qr=qr, br=br, const=const,
+                             quad_fixed=quad_fixed, x_hat=x_hat,
+                             structure=structure)
         red._check_box_consistency()
         return red
 
@@ -483,14 +568,13 @@ def _box_rows(red: ReducedProblem, width: int):
     """Box rows lower <= x_hat + Z z <= upper as one block G w + h <= 0.
 
     w has `width` entries, z first.  Coordinates the equalities pin (zero
-    row of Z) get no rows; the build already checked them.
+    row of Z) get no rows; the build already checked them.  G is the free
+    set's shared block when width is the nullspace dimension.
     """
-    Z = red.basis.Z
-    keep = np.abs(Z).max(axis=1, initial=0.0) > 1e-12
-    Zk = Z[keep]
-    G = np.zeros((2 * Zk.shape[0], width))
-    G[0::2, :Z.shape[1]] = Zk
-    G[1::2, :Z.shape[1]] = -Zk
+    keep, G = red.structure.box_keep, red.structure.box_G
+    if width != G.shape[1]:
+        G = np.zeros((G.shape[0], width))
+        G[:, :red.basis.dim] = red.structure.box_G
     h = np.empty(G.shape[0])
     h[0::2] = red.x_hat[keep] - red.upper[keep]
     h[1::2] = red.lower[keep] - red.x_hat[keep]

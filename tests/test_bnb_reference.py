@@ -120,3 +120,79 @@ def test_node_pass_matches_reference(family, n, seed):
         assert (nb.d_pass is node.d) == (ref.d_pass is node.d)
         used += nb.d_pass is not node.d
     assert used
+
+
+SEARCH = bnb.BnbConfig(node_limit=150, max_nc=3)
+
+
+def reference_as_bound_node(instance, node, alpha, separate=True,
+                            prune_at=np.inf, *, structures=None):
+    """``reference_bound_node`` under ``bnb.bound_node``'s signature.
+
+    Without separation the first bound is final, which is the reference's
+    fathoming exit at prune_at = -inf.
+    """
+    return reference_bound_node(instance, node, alpha,
+                                prune_at if separate else -np.inf)
+
+
+def recorded_search(inst, monkeypatch):
+    """The report of ``bnb.solve`` and every bound_node call it made."""
+    calls = []
+    bound = bnb.bound_node
+
+    def record(instance, node, alpha, separate=True, prune_at=np.inf, *,
+               structures=None):
+        calls.append((Node(node.lower.copy(), node.upper.copy(), node.d,
+                           node.lb, node.depth), alpha, separate, prune_at))
+        return bound(instance, node, alpha, separate, prune_at,
+                     structures=structures)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(bnb, "bound_node", record)
+        report = bnb.solve(inst, SEARCH)
+    return report, calls
+
+
+def report_fields(rep):
+    return (rep.status, rep.node_count, rep.max_stored, rep.lower_bound,
+            rep.upper_bound, rep.relative_gap, rep.root_bound, rep.root_cuts,
+            None if rep.best_point is None else rep.best_point.tobytes())
+
+
+# 2201011 finds no incumbent within the node limit, so its nodes never
+# separate; 2201032 separates at most nodes
+@pytest.mark.parametrize("seed,separates", [(2201011, False),
+                                            (2201032, True)])
+def test_shared_structures_match_reference_over_a_search(seed, separates,
+                                                         monkeypatch):
+    inst = generate_instance("eq_integer", 8, 0.8, seed)
+    report, calls = recorded_search(inst, monkeypatch)
+    assert len(calls) == report.node_count - 1
+    structures = {}
+    used = empty = 0
+    for node, alpha, separate, prune_at in calls:
+        try:
+            ref = reference_as_bound_node(inst, node, alpha, separate,
+                                          prune_at)
+        except InfeasibleRelaxation as exc:
+            with pytest.raises(InfeasibleRelaxation, match=str(exc)):
+                bound_node(inst, node, alpha, separate, prune_at,
+                           structures=structures)
+            empty += 1
+            continue
+        nb = bound_node(inst, node, alpha, separate, prune_at,
+                        structures=structures)
+        assert nb.lb == ref.lb
+        assert np.array_equal(nb.d_pass, ref.d_pass)
+        assert (nb.d_pass is node.d) == (ref.d_pass is node.d)
+        assert (nb.certified, nb.convex, nb.exact) == \
+            (ref.certified, ref.convex, ref.exact)
+        used += nb.d_pass is not node.d
+    assert empty and bool(used) == separates
+    assert len(structures) < len(calls)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(bnb, "bound_node", reference_as_bound_node)
+        ref_report = bnb.solve(inst, SEARCH)
+    assert report_fields(report) == report_fields(ref_report)

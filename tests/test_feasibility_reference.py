@@ -71,9 +71,9 @@ def reference_search(inst, monkeypatch):
     boxes = []
     build = ReducedProblem.build
 
-    def recording_build(instance, lower, upper):
+    def recording_build(instance, lower, upper, **kwargs):
         boxes.append((np.array(lower, dtype=float), np.array(upper, dtype=float)))
-        return build(instance, lower, upper)
+        return build(instance, lower, upper, **kwargs)
 
     with monkeypatch.context() as mp:
         mp.setattr(ReducedProblem, "build", staticmethod(recording_build))

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from quadrelax import qcqp, relax
+from quadrelax import bnb, qcqp, relax
 from quadrelax.cli import generate_instance
 from quadrelax.qcqp import IpmResult, QuadConstraint, SquareBlock, solve_qcqp
 
@@ -324,6 +324,23 @@ def cut_loop_calls(family, n, seed):
                                                         max_cuts=3))
 
 
+def node_qp_calls(family, n, seed):
+    """Interior-point calls made while bounding the nodes of a search."""
+    inst = generate_instance(family, n, 0.8, seed)
+    calls = []
+    bound = bnb.bound_node
+
+    def recording_bound_node(*args, **kwargs):
+        out = []
+        calls.extend(captured_calls(lambda: out.append(bound(*args,
+                                                             **kwargs))))
+        return out[0]
+
+    with mock.patch.object(bnb, "bound_node", recording_bound_node):
+        bnb.solve(inst, bnb.BnbConfig(node_limit=40, max_nc=3))
+    return calls
+
+
 def spectral_stall_calls():
     """The spectral QP of eq_integer n=20 seed 32200, a known IPM stall."""
     inst = generate_instance("eq_integer", 20, 0.8, 32200)
@@ -400,6 +417,18 @@ def test_cut_loop_linear_solves_match_reference(family, n, seed):
              if c[1].get("squares") is None]
     assert calls
     for args, kwargs in calls:
+        assert_bitwise_equal(solve_qcqp(*args, **kwargs),
+                             reference_solve_qcqp(*args, **kwargs))
+
+
+@pytest.mark.parametrize("family, n, seed", [("eq_integer", 8, 5),
+                                             ("binary_card", 16, 4)])
+def test_node_qps_match_reference(family, n, seed):
+    calls = node_qp_calls(family, n, seed)
+    assert len(calls) >= 20
+    for args, kwargs in calls:
+        # no quadratic row and no square block: the linear-row iteration
+        assert not args[3] and kwargs.get("squares") is None
         assert_bitwise_equal(solve_qcqp(*args, **kwargs),
                              reference_solve_qcqp(*args, **kwargs))
 

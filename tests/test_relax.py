@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quadrelax import qcqp, relax
+from quadrelax import bnb, qcqp, relax
 from quadrelax.cli import generate_instance
 from quadrelax.linalg import nullspace_basis, projected_min_eigenvalue
 from quadrelax.model import MiqpInstance, VariableDomain
@@ -574,3 +574,115 @@ class TestReducedProblem:
                                    (fixed, np.ones(2), np.ones(2))):
             with pytest.raises(InfeasibleRelaxation):
                 ReducedProblem.build(inst, lower, upper)
+
+
+def recorded_node_boxes(family, n, seed, monkeypatch):
+    """The instance and every node box a short search reduces."""
+    inst = generate_instance(family, n, 0.8, seed)
+    boxes = []
+    build = ReducedProblem.build
+
+    def record(instance, lower, upper, **kwargs):
+        boxes.append((np.array(lower, dtype=float),
+                      np.array(upper, dtype=float)))
+        return build(instance, lower, upper, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ReducedProblem, "build", staticmethod(record))
+        bnb.solve(inst, bnb.BnbConfig(node_limit=40, max_nc=3))
+    return inst, boxes
+
+
+def build_outcome(inst, lower, upper, structures=None):
+    """The reduction's fields as bytes, or the InfeasibleRelaxation message."""
+    try:
+        red = ReducedProblem.build(inst, lower, upper, structures=structures)
+    except InfeasibleRelaxation as exc:
+        return str(exc)
+    arrays = (red.free, red.fixed, red.fixed_values, red.lower, red.upper,
+              red.Qr, red.qr, red.Ar, red.br, red.basis.Z, red.x_hat,
+              *relax._box_rows(red, red.basis.dim))
+    return ([(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
+            red.const, red.quad_fixed)
+
+
+class TestFreeSetStructures:
+    @pytest.mark.parametrize("family,n,seed", [("eq_integer", 8, 1001),
+                                               ("binary_card", 16, 1002)])
+    def test_cached_build_matches_fresh(self, family, n, seed, monkeypatch):
+        inst, boxes = recorded_node_boxes(family, n, seed, monkeypatch)
+        structures = {}
+        for lower, upper in boxes:
+            assert build_outcome(inst, lower, upper, structures) \
+                == build_outcome(inst, lower, upper)
+        # many nodes share a free set, so most builds read a cached entry
+        assert len(structures) < len(boxes)
+
+    def test_second_box_reuses_the_entry(self):
+        # x0 fixed at -3 and at 2: one free set, different fixed terms
+        inst = generate_instance("eq_integer", 8, 0.8, 1001)
+        structures = {}
+        reds = []
+        for value in (-3.0, 2.0):
+            lower, upper = inst.lower.copy(), inst.upper.copy()
+            lower[0] = upper[0] = value
+            assert build_outcome(inst, lower, upper, structures) \
+                == build_outcome(inst, lower, upper)
+            reds.append(ReducedProblem.build(inst, lower, upper,
+                                             structures=structures))
+        (entry,) = structures.values()
+        assert reds[0].structure is entry and reds[1].structure is entry
+        assert reds[0].br.tobytes() != reds[1].br.tobytes()
+
+    @pytest.mark.parametrize("A,b,fix,message", [
+        # x0 fixed at 2: row 0 reads 0 = -1
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], [1.0, 2.0], (0, 2.0),
+         "equality row 0 reduces to 0 = -1.000e+00"),
+        # x2 fixed at 2: both rows read x0 + x1, with right sides 2 and 1
+        ([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]], [2.0, 3.0], (2, 2.0),
+         "dependent equality rows are inconsistent"),
+        # rows independent to 1e-10 but too close for a 1e-8 residual
+        ([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-9, 0.0]], [0.0, 1.0], (2, 0.0),
+         "equality system has no solution"),
+    ])
+    def test_infeasible_paths_raise_alike(self, A, b, fix, message):
+        inst = MiqpInstance.from_arrays(
+            -np.eye(3), np.zeros(3), np.array(A), np.array(b),
+            [VariableDomain("integer_range", 0.0, 3.0)] * 3)
+        lower, upper = inst.lower.copy(), inst.upper.copy()
+        i, value = fix
+        lower[i] = upper[i] = value
+        fresh = build_outcome(inst, lower, upper)
+        assert isinstance(fresh, str) and fresh.startswith(message)
+        structures = {}
+        # the first cached build derives the entry, the second reads it
+        assert build_outcome(inst, lower, upper, structures) == fresh
+        assert build_outcome(inst, lower, upper, structures) == fresh
+        assert len(structures) == 1
+
+    def test_shared_arrays_are_read_only(self):
+        inst = generate_instance("eq_integer", 8, 0.8, 1001)
+        red = ReducedProblem.build(inst, inst.lower, inst.upper,
+                                   structures={})
+        for arr in (red.Qr, red.Ar, red.structure.A_kept, red.basis.Z,
+                    red.structure.box_G):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
+
+    def test_gate_eigenvalue_is_computed_once(self, monkeypatch):
+        calls = []
+        eig = relax.projected_min_eigenvalue
+
+        def counting(M, basis):
+            calls.append(1)
+            return eig(M, basis)
+
+        monkeypatch.setattr(relax, "projected_min_eigenvalue", counting)
+        inst = generate_instance("eq_integer", 8, 0.8, 1001)
+        structures = {}
+        values = [ReducedProblem.build(inst, inst.lower, inst.upper,
+                                       structures=structures)
+                  .structure.nullspace_min_eigenvalue for _ in range(3)]
+        assert len(calls) == 1 and len(set(values)) == 1
+        red = ReducedProblem.build(inst, inst.lower, inst.upper)
+        assert values[0] == eig(red.Qr, red.basis)
