@@ -43,7 +43,7 @@ print(f"  restarts = {res.restarts}, final regularizer = {res.rho:.1e}")
 # The nonsmooth variant penalizes only the positive part of d, which
 # tends to pull the perturbation toward zero from above.
 inp = SeparationInput(Q=Q, A=A, alpha=1.0, eta=np.array([0.25, 0.25]))
-res = solve_nonsmooth(inp, SeparationConfig(rho0=1e-4))
+res = solve_nonsmooth(inp, SeparationConfig())
 print()
 print(f"positive-part penalty: d = ({res.d[0]:.4f}, {res.d[1]:.4f}), "
       f"status {res.status}, {res.iterations} Newton steps")

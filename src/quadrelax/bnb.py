@@ -60,24 +60,33 @@ _NODE_SEP = SeparationConfig(max_iter_per_var=100, max_restarts=2)
 # enumerated exactly instead of relaxed
 _FOLD_CAP = 512
 
+# absolute gap that closes the tree and fathoms a node
+_ABS_TOL = 1e-9
+
 
 @dataclass
 class BnbConfig:
     """Search controls.
 
     rel_tol closes the tree when the gap falls below
-    rel_tol * max(|lower bound|, 1e-3); abs_tol both terminates and
-    fathoms individual nodes.  max_nc caps the root cutting-surface loop;
-    sep_mode picks its separation variant (nodes always separate with the
-    smooth solver).
+    max(_ABS_TOL, rel_tol * max(|lower bound|, 1e-3)); a node is fathomed
+    once its bound comes within _ABS_TOL (1e-9) of the incumbent.  max_nc
+    caps the root cutting-surface loop; sep_mode ("smooth" or "nonsmooth")
+    picks its separation variant, and anything else raises ValueError.
+    Nodes always separate with the smooth solver on the ``_NODE_SEP``
+    budget (100 Newton steps per round, 2 restarts); the sigma path and
+    stop rule are the separation module's constants.
     """
 
     time_limit: float | None = None
     rel_tol: float = 1e-6
-    abs_tol: float = 1e-9
     max_nc: int = 20
     sep_mode: str = "smooth"
     node_limit: int = 200_000
+
+    def __post_init__(self):
+        if self.sep_mode not in ("smooth", "nonsmooth"):
+            raise ValueError(f"unknown separation mode {self.sep_mode!r}")
 
 
 @dataclass
@@ -336,8 +345,8 @@ def _update_incumbent(instance, sol, ubd, best_x):
 def _gap_tol(lbd: float, cfg: BnbConfig) -> float:
     # an infinite lower bound (uncertified root) must not close the gap
     if not np.isfinite(lbd):
-        return cfg.abs_tol
-    return max(cfg.abs_tol, cfg.rel_tol * max(abs(lbd), 1e-3))
+        return _ABS_TOL
+    return max(_ABS_TOL, cfg.rel_tol * max(abs(lbd), 1e-3))
 
 
 def solve(instance: MiqpInstance, config: BnbConfig | None = None) -> SolveReport:
@@ -398,7 +407,7 @@ def solve(instance: MiqpInstance, config: BnbConfig | None = None) -> SolveRepor
     seq = itertools.count()
     lbd = root_lb
     status = None
-    if ubd - root_lb > cfg.abs_tol:
+    if ubd - root_lb > _ABS_TOL:
         eid = next(seq)
         entries[eid] = (root_lb, root_node, root_sol)
         heapq.heappush(heap, (root_lb, eid))
@@ -425,19 +434,19 @@ def solve(instance: MiqpInstance, config: BnbConfig | None = None) -> SolveRepor
         else:
             lb, node, sol = entries.pop(heap[0][1])
             heapq.heappop(heap)
-        if lb >= ubd - cfg.abs_tol:
+        if lb >= ubd - _ABS_TOL:
             continue
         children = (branch(instance, node, sol) if sol is not None
                     else _fallback_split(instance, node))
         opened = []
         for child in children:
-            if node.lb >= ubd - cfg.abs_tol:
+            if node.lb >= ubd - _ABS_TOL:
                 break  # the inherited bound now fathoms the rest
             try:
                 # bound quality only matters once something can be pruned
                 nb = bound_node(instance, child, sel.alpha,
                                 separate=separate and np.isfinite(ubd),
-                                prune_at=ubd - cfg.abs_tol,
+                                prune_at=ubd - _ABS_TOL,
                                 structures=structures)
             except InfeasibleRelaxation:
                 nodes += 1
@@ -446,7 +455,7 @@ def solve(instance: MiqpInstance, config: BnbConfig | None = None) -> SolveRepor
             child.lb = max(nb.lb, node.lb)  # parent bound is valid here too
             child.d = nb.d_pass
             ubd, best_x = _update_incumbent(instance, nb.solution, ubd, best_x)
-            if child.lb >= ubd - cfg.abs_tol:
+            if child.lb >= ubd - _ABS_TOL:
                 continue
             opened.append((child, nb.solution))
         # plunge order: push the most promising child last

@@ -34,7 +34,6 @@ __all__ = [
     "projected_min_eigenvalue",
     "cholesky_factor",
     "cholesky_solve",
-    "psd_certificate",
 ]
 
 # Orthogonality / annihilation tolerance for nullspace bases.
@@ -284,16 +283,3 @@ def cholesky_solve(c, lower: bool, rhs):
         raise ValueError(f"illegal value in argument {-info} of dpotrs")
     return x
 
-
-def psd_certificate(M, tol: float = 1e-8) -> bool:
-    """Whether M is positive semidefinite within a relative tolerance.
-
-    True iff lambda_min(M) >= -tol * max(1, ||M||_max).
-    """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    M = _as_symmetric_matrix(M)
-    if M.shape[0] == 0:
-        return True
-    lam = min_eigenvalue(M)
-    return lam >= -tol * max(1.0, np.abs(M).max(initial=0.0))

@@ -23,6 +23,14 @@ barrier epigraph psi_sigma(d_i), the minimum over p > max(0, d_i) of
 lambda p - sigma log p - sigma log(p - d_i), which has a closed form
 (``positive_part_epigraph``) and tends to lambda max(d_i, 0) as sigma
 falls.
+
+The path and stop rule are fixed module constants.  sigma is cut to
+max(_SIGMA_MIN, _SIGMA_UPDATE * sigma) (1e-5, 0.8) once the Newton
+gradient norm falls to _EPS_UPDATE (0.03) times the regularizer's slope
+norm, and a round converges once the true regularizer improves by less
+than _EPS_CHECK (1e-4, relative) between two cuts.  The smooth solver
+restarts with rho grown by _RHO_UPDATE (10) whenever an iterate has a
+component above _RESTART_FACTOR (10) times mu = -lambda_min(Q + alpha A^T A).
 """
 
 from __future__ import annotations
@@ -37,14 +45,10 @@ from .linalg import cholesky_factor, cholesky_solve, min_eigenvalue
 __all__ = [
     "SeparationInput",
     "SeparationConfig",
-    "StepQuantities",
     "SeparationResult",
     "eta_from_relaxation",
     "rho_init",
     "sigma_init",
-    "coordinate_step_smooth",
-    "check_restart",
-    "update_sigma",
     "positive_part_epigraph",
     "solve_smooth",
     "solve_nonsmooth",
@@ -124,43 +128,22 @@ class SeparationInput:
 
 @dataclass
 class SeparationConfig:
-    """Tuning constants of the separation solvers.
+    """The separation settings callers vary.
 
     rho0 seeds the quadratic regularization weight of the smooth solver and
     must be set (``rho_init`` computes the standard seed from the problem
-    data).  max_iter_per_var caps the Newton steps of each round: each
-    restart round of the smooth solver, the one round of the nonsmooth
-    solver.  rho_update, max_restarts and restart_factor are for the smooth
-    solver only.
+    data); the nonsmooth solver ignores it.  max_iter_per_var caps the
+    Newton steps of each round: each restart round of the smooth solver,
+    the one round of the nonsmooth solver.  max_restarts caps the smooth
+    solver's restarts.  trace records one row per accepted Newton step.
+    The sigma path, the stop rule and the restart rule are the module
+    constants (see the module docstring).
     """
 
     rho0: float | None = None
     max_iter_per_var: int = 500     # Newton steps per round, see above
-    sigma_min: float = 1e-5
-    sigma_update: float = 0.8
-    eps_update: float = 0.03        # gradient-norm ratio enabling a sigma cut
-    eps_check: float = 1e-4         # relative improvement below this stops
-    rho_update: float = 10.0        # regularization growth on restart
     max_restarts: int = 12
-    restart_factor: float = 10.0    # restart when max(d) exceeds this times mu
     trace: bool = False
-
-
-@dataclass(frozen=True)
-class StepQuantities:
-    """One smooth coordinate step: minimizer of
-
-        (eta_i + 2 rho d_i) Delta + rho Delta^2 - sigma log(1 + Delta V_ii)
-
-    via the positive root of its stationarity condition.  phi, tau, kappa
-    are the combined coefficients; delta is the step.
-    """
-
-    index: int
-    phi: float
-    tau: float
-    kappa: float
-    delta: float
 
 
 @dataclass
@@ -217,68 +200,6 @@ def sigma_init(slopes, v_diag) -> float:
     if v_diag.min() <= 0.0:
         raise ValueError("V diagonal must be positive")
     return float(np.median(np.abs(slopes) / v_diag))
-
-
-def coordinate_step_smooth(i, d_i, eta_i, v_ii, rho, sigma) -> StepQuantities:
-    """Exact minimizer of the smooth objective along coordinate i.
-
-    Solves eta_i + 2 rho (d_i + Delta) = sigma V_ii / (1 + Delta V_ii) for
-    the root with 1 + Delta V_ii > 0.  With phi = 1/(2 V_ii),
-    tau = (eta_i + 2 rho d_i)/(4 rho) and kappa = sigma/(2 rho):
-
-        Delta = -(phi + tau) + sqrt((phi - tau)**2 + kappa),
-
-    evaluated in the cancellation-free form
-    (kappa - 4 phi tau) / (sqrt(...) + phi + tau) when phi + tau > 0.
-    """
-    if v_ii <= 0.0 or rho <= 0.0 or sigma <= 0.0:
-        raise ValueError("v_ii, rho, sigma must be positive")
-    phi = 1.0 / (2.0 * v_ii)
-    tau = (eta_i + 2.0 * rho * d_i) / (4.0 * rho)
-    kappa = sigma / (2.0 * rho)
-    root = math.sqrt((phi - tau) ** 2 + kappa)
-    if phi + tau > 0.0:
-        delta = (kappa - 4.0 * phi * tau) / (root + phi + tau)
-    else:
-        delta = -(phi + tau) + root
-    # Newton cleanup against the cleared form of the stationarity equation,
-    # (eta_i + 2 rho (d_i+Delta)) (1 + Delta V_ii) - sigma V_ii = 0, which
-    # stays well conditioned when the root sits next to the barrier pole.
-    for _ in range(2):
-        t = 1.0 + delta * v_ii
-        s_lin = eta_i + 2.0 * rho * (d_i + delta)
-        resid = s_lin * t - sigma * v_ii
-        if abs(resid) <= 1e-13 * max(1.0, abs(s_lin) * abs(t), sigma * v_ii):
-            break
-        slope = s_lin * v_ii + 2.0 * rho * t
-        if slope <= 0.0:
-            break
-        candidate = delta - resid / slope
-        if 1.0 + candidate * v_ii <= 0.0:
-            break
-        delta = candidate
-    return StepQuantities(int(i), phi, tau, kappa, delta)
-
-
-def check_restart(d_max: float, mu: float, factor: float = 10.0) -> bool:
-    """Whether the iterates have outgrown the trust region.
-
-    True iff max_j |d_j| (passed as d_max) exceeds factor * mu, signalling
-    that the current regularization is too weak to keep d bounded.
-    """
-    return d_max > factor * mu
-
-
-def update_sigma(sigma, grad_norm, ref_norm, config: SeparationConfig) -> float:
-    """Shrink the barrier weight once the current subproblem is nearly solved.
-
-    When the gradient norm has dropped to eps_update times the
-    regularizer's own norm, multiply sigma by sigma_update, never below
-    sigma_min.
-    """
-    if grad_norm <= config.eps_update * ref_norm:
-        return max(config.sigma_min, config.sigma_update * sigma)
-    return sigma
 
 
 def _barrier_mu(base: np.ndarray) -> float:
@@ -354,6 +275,14 @@ class _PositivePart:
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-10
 
+# The sigma path, the stop rule and the restart rule (module docstring).
+_SIGMA_MIN = 1e-5
+_SIGMA_UPDATE = 0.8
+_EPS_UPDATE = 0.03
+_EPS_CHECK = 1e-4
+_RHO_UPDATE = 10.0
+_RESTART_FACTOR = 10.0
+
 
 def _barrier_factor(base, d):
     """Upper Cholesky factor of base + diag d and its log det, or Nones."""
@@ -361,20 +290,21 @@ def _barrier_factor(base, d):
     return (None, None) if c is None else (c, 2.0 * np.log(c.diagonal()).sum())
 
 
-def _newton(base, d, reg, slopes, ref_norm, restart_mu, config, trace, done):
+def _newton(base, d, reg, slopes, ref_norm, restart_mu, max_iter, trace, done):
     """Damped Newton on reg - sigma logdet(base + diag d), starting from d.
 
     reg(d, sigma) gives the regularizer's value as Newton sees it at the
     current sigma, its true value, and Newton's gradient and Hessian
     diagonal; reg.moves_with_sigma says whether a cut of sigma changes
     them.  The first sigma balances ``slopes`` against diag V.  sigma is
-    cut when the gradient norm reaches eps_update * ref_norm (or the line
+    cut when the gradient norm reaches _EPS_UPDATE * ref_norm (or the line
     search stalls); the run converges once the true value improves by less
-    than eps_check (relative) between two cuts.  With restart_mu set, an
-    accepted iterate with a component above restart_factor * restart_mu
-    ends the run.  Trace rows are numbered from ``done`` and name the
-    largest coordinate move.  Returns (status, d, steps, sigma, true
-    value), status being "converged", "max_iter" or "restart".
+    than _EPS_CHECK (relative) between two cuts, and stops after max_iter
+    steps.  With restart_mu set, an accepted iterate with a component above
+    _RESTART_FACTOR * restart_mu ends the run.  Trace rows are numbered
+    from ``done`` and name the largest coordinate move.  Returns (status,
+    d, steps, sigma, true value), status being "converged", "max_iter" or
+    "restart".
     """
     n = d.size
     c, logdet = _barrier_factor(base, d)
@@ -387,16 +317,16 @@ def _newton(base, d, reg, slopes, ref_norm, restart_mu, config, trace, done):
     stalled, k = False, 0
     while True:
         g = grad - sigma * V.diagonal()
-        if stalled or math.sqrt(g @ g) <= config.eps_update * ref_norm:
-            if level - true < config.eps_check * max(1.0, abs(level)):
+        if stalled or math.sqrt(g @ g) <= _EPS_UPDATE * ref_norm:
+            if level - true < _EPS_CHECK * max(1.0, abs(level)):
                 return "converged", d, k, sigma, true
             level = true
-            sigma = update_sigma(sigma, 0.0, ref_norm, config)
+            sigma = max(_SIGMA_MIN, _SIGMA_UPDATE * sigma)
             if reg.moves_with_sigma:
                 value, true, grad, curvature = reg(d, sigma)
             stalled = False
             continue
-        if k == config.max_iter_per_var:
+        if k == max_iter:
             return "max_iter", d, k, sigma, true
         H = sigma * V * V
         H.flat[::n + 1] += curvature
@@ -425,8 +355,8 @@ def _newton(base, d, reg, slopes, ref_norm, restart_mu, config, trace, done):
         if trace is not None:
             i = int(np.abs(p).argmax())
             trace.append((done + k, i, t * p.item(i), sigma, reg.rho, true))
-        if restart_mu is not None and check_restart(
-                float(np.abs(d).max()), restart_mu, config.restart_factor):
+        if (restart_mu is not None
+                and float(np.abs(d).max()) > _RESTART_FACTOR * restart_mu):
             return "restart", d, k, sigma, true
 
 
@@ -434,8 +364,8 @@ def solve_smooth(inp: SeparationInput, config: SeparationConfig) -> SeparationRe
     """Damped Newton on the quadratically regularized separation problem.
 
     Implements the restart strategy: whenever an accepted iterate has a
-    component of d above restart_factor * mu the regularization was too
-    weak, so rho grows by rho_update and the iteration restarts from
+    component of d above _RESTART_FACTOR * mu the regularization was too
+    weak, so rho grows by _RHO_UPDATE and the iteration restarts from
     scratch (d = 1.5 mu, fresh factorization, fresh sigma).  Returns the
     final d, which lies in D at any stopping status.
     """
@@ -458,13 +388,13 @@ def solve_smooth(inp: SeparationInput, config: SeparationConfig) -> SeparationRe
     while True:
         reg = _Quadratic(eta, rho)
         status, d, k, sigma, objective = _newton(
-            base, d0, reg, eta + 2.0 * rho * d0, eta_norm, mu, config, trace,
-            total_steps)
+            base, d0, reg, eta + 2.0 * rho * d0, eta_norm, mu,
+            config.max_iter_per_var, trace, total_steps)
         total_steps += k
         if status == "restart":
             if restarts < config.max_restarts:
                 restarts += 1
-                rho *= config.rho_update
+                rho *= _RHO_UPDATE
                 continue
             status = "restart_limit"  # d is still in D; report it
         return SeparationResult(d=d, objective=objective,
@@ -496,8 +426,8 @@ def solve_nonsmooth(inp: SeparationInput, config: SeparationConfig) -> Separatio
     beta = eta + lam  # slopes of the regularizer at the start d > 0
     reg = _PositivePart(eta, lam)
     status, d, k, sigma, objective = _newton(
-        base, d, reg, beta, float(np.linalg.norm(beta)), None, config, trace,
-        0)
+        base, d, reg, beta, float(np.linalg.norm(beta)), None,
+        config.max_iter_per_var, trace, 0)
     return SeparationResult(d=d, objective=objective, iterations=k,
                             restarts=0, rho=0.0, sigma=sigma, status=status,
                             trace=trace)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_separation_reference import coordinate_step_smooth
 
 from quadrelax.bnb import BnbConfig, brute_force_oracle, solve
 from quadrelax.cli import (
@@ -41,7 +42,6 @@ from quadrelax.relax import (
 from quadrelax.separation import (
     SeparationConfig,
     SeparationInput,
-    coordinate_step_smooth,
     solve_smooth,
 )
 

@@ -202,6 +202,14 @@ class TestLimits:
         assert rep.lower_bound <= rep.upper_bound + 1e-9
 
 
+class TestConfig:
+    def test_unknown_sep_mode_rejected(self):
+        # rejected before any solve, even where no cut loop would run
+        with pytest.raises(ValueError, match="smoth"):
+            BnbConfig(sep_mode="smoth")
+        assert BnbConfig(sep_mode="nonsmooth").sep_mode == "nonsmooth"
+
+
 class TestBranch:
     def test_eta_tie_lowest_index(self):
         inst = saddle_binary()

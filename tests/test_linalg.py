@@ -15,7 +15,6 @@ from quadrelax.linalg import (
     min_generalized_eigenvalue,
     nullspace_basis,
     projected_min_eigenvalue,
-    psd_certificate,
 )
 
 
@@ -266,20 +265,3 @@ class TestCholesky:
     def test_empty(self):
         c = cholesky_factor(np.zeros((0, 0)), False)
         assert cholesky_solve(c, False, np.eye(0)).shape == (0, 0)
-
-
-class TestPsdCertificate:
-    def test_basic(self):
-        assert psd_certificate(np.eye(2))
-        assert psd_certificate([[2.0, 2.0], [2.0, 2.0]])
-        assert not psd_certificate([[0.0, 2.0], [2.0, -1.0]])
-
-    def test_relative_tolerance(self):
-        # lambda_min = -1e-6 with norm 1e3: within 1e-8 * max(1, 1e3) = 1e-5
-        M = np.diag([1e3, -1e-6])
-        assert psd_certificate(M, tol=1e-8)
-        assert not psd_certificate(M, tol=1e-10)
-
-    def test_tol_validated(self):
-        with pytest.raises(ValueError):
-            psd_certificate(np.eye(2), tol=-1.0)

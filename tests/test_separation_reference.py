@@ -2,9 +2,11 @@
 
 ``reference_smooth`` and ``reference_nonsmooth`` rebuild diag(V), the
 gradient and the objective anew every coordinate step; they run on
-test-local copies of the tracked inverse and the nonsmooth coordinate step
-that the solvers used before both became damped Newton.  The solvers are
-held to a contract instead of bit identity: their d passes a Cholesky
+test-local copies of the tracked inverse, the closed-form smooth and
+nonsmooth coordinate steps and the gradient-gated sigma rule that the
+solvers used before both became damped Newton, with the package's own
+path constants.  Acceptance test 03 checks the smooth step.  The solvers
+are held to a contract instead of bit identity: their d passes a Cholesky
 test for D on every seed, a zero slack vector returns the seed untouched,
 tracing does not change the run, the iteration cap counts Newton steps,
 and wherever the reference converges (for ``solve_smooth``, at the final
@@ -13,6 +15,7 @@ objective at most ``SMOOTH_OBJ_TOL`` or ``NONSMOOTH_OBJ_TOL`` (relative)
 above the reference's.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,16 +23,19 @@ import pytest
 
 from quadrelax import linalg
 from quadrelax.separation import (
+    _EPS_CHECK,
+    _EPS_UPDATE,
+    _RESTART_FACTOR,
+    _RHO_UPDATE,
+    _SIGMA_MIN,
+    _SIGMA_UPDATE,
     SeparationConfig,
     SeparationInput,
     SeparationResult,
     _barrier_mu,
-    check_restart,
-    coordinate_step_smooth,
     sigma_init,
     solve_nonsmooth,
     solve_smooth,
-    update_sigma,
 )
 
 # The references check their objective every this many times n steps.
@@ -138,6 +144,72 @@ def _nonsmooth_step(d_i, eta_i, beta_i, sigma, v_ii):
     return sigma / eta_i - 1.0 / v_ii, False
 
 
+@dataclass(frozen=True)
+class StepQuantities:
+    """One smooth coordinate step: minimizer of
+
+        (eta_i + 2 rho d_i) Delta + rho Delta^2 - sigma log(1 + Delta V_ii)
+
+    via the positive root of its stationarity condition.  phi, tau, kappa
+    are the combined coefficients; delta is the step.
+    """
+
+    index: int
+    phi: float
+    tau: float
+    kappa: float
+    delta: float
+
+
+def coordinate_step_smooth(i, d_i, eta_i, v_ii, rho, sigma) -> StepQuantities:
+    """Exact minimizer of the smooth objective along coordinate i.
+
+    Solves eta_i + 2 rho (d_i + Delta) = sigma V_ii / (1 + Delta V_ii) for
+    the root with 1 + Delta V_ii > 0.  With phi = 1/(2 V_ii),
+    tau = (eta_i + 2 rho d_i)/(4 rho) and kappa = sigma/(2 rho):
+
+        Delta = -(phi + tau) + sqrt((phi - tau)**2 + kappa),
+
+    evaluated in the cancellation-free form
+    (kappa - 4 phi tau) / (sqrt(...) + phi + tau) when phi + tau > 0.
+    """
+    if v_ii <= 0.0 or rho <= 0.0 or sigma <= 0.0:
+        raise ValueError("v_ii, rho, sigma must be positive")
+    phi = 1.0 / (2.0 * v_ii)
+    tau = (eta_i + 2.0 * rho * d_i) / (4.0 * rho)
+    kappa = sigma / (2.0 * rho)
+    root = math.sqrt((phi - tau) ** 2 + kappa)
+    if phi + tau > 0.0:
+        delta = (kappa - 4.0 * phi * tau) / (root + phi + tau)
+    else:
+        delta = -(phi + tau) + root
+    # Newton cleanup against the cleared form of the stationarity equation,
+    # (eta_i + 2 rho (d_i+Delta)) (1 + Delta V_ii) - sigma V_ii = 0, which
+    # stays well conditioned when the root sits next to the barrier pole.
+    for _ in range(2):
+        t = 1.0 + delta * v_ii
+        s_lin = eta_i + 2.0 * rho * (d_i + delta)
+        resid = s_lin * t - sigma * v_ii
+        if abs(resid) <= 1e-13 * max(1.0, abs(s_lin) * abs(t), sigma * v_ii):
+            break
+        slope = s_lin * v_ii + 2.0 * rho * t
+        if slope <= 0.0:
+            break
+        candidate = delta - resid / slope
+        if 1.0 + candidate * v_ii <= 0.0:
+            break
+        delta = candidate
+    return StepQuantities(int(i), phi, tau, kappa, delta)
+
+
+def update_sigma(sigma, grad_norm, ref_norm):
+    """Cut sigma once the gradient norm has dropped to _EPS_UPDATE times
+    the regularizer's own norm: multiply it by _SIGMA_UPDATE, never below
+    _SIGMA_MIN."""
+    if grad_norm <= _EPS_UPDATE * ref_norm:
+        return max(_SIGMA_MIN, _SIGMA_UPDATE * sigma)
+    return sigma
+
 
 def reference_smooth(inp: SeparationInput, config: SeparationConfig) -> SeparationResult:
     if config.rho0 is None or config.rho0 <= 0.0:
@@ -178,7 +250,7 @@ def reference_smooth(inp: SeparationInput, config: SeparationConfig) -> Separati
             step = coordinate_step_smooth(i, d[i], eta[i], v_diag[i], rho, sigma)
             d[i] += step.delta
             d_max = max(d_max, float(abs(d[i])))
-            if check_restart(d_max, mu, config.restart_factor):
+            if d_max > _RESTART_FACTOR * mu:
                 restarts += 1
                 if restarts > config.max_restarts:
                     # d is still in D; report it rather than fail.
@@ -187,18 +259,18 @@ def reference_smooth(inp: SeparationInput, config: SeparationConfig) -> Separati
                         iterations=total_steps, restarts=restarts - 1,
                         rho=rho, sigma=sigma, status="restart_limit",
                         trace=trace)
-                rho *= config.rho_update
+                rho *= _RHO_UPDATE
                 restarted = True
                 break
             sherman_morrison_update(inverse, i, step.delta)
             grad_now = eta + 2.0 * rho * d - sigma * np.diag(inverse.V)
             sigma = update_sigma(sigma, float(np.linalg.norm(grad_now)),
-                                 eta_norm, config)
+                                 eta_norm)
             g_now = float(eta @ d + rho * (d @ d))
             if trace is not None:
                 trace.append((total_steps, i, step.delta, sigma, rho, g_now))
             if k % check_every == 0:
-                if g_prev - g_now < config.eps_check * max(1.0, abs(g_prev)):
+                if g_prev - g_now < _EPS_CHECK * max(1.0, abs(g_prev)):
                     return SeparationResult(
                         d=d, objective=g_now, iterations=total_steps,
                         restarts=restarts, rho=rho, sigma=sigma,
@@ -255,12 +327,12 @@ def reference_nonsmooth(inp: SeparationInput, config: SeparationConfig) -> Separ
         d[i] = 0.0 if at_kink else d[i] + delta
         sherman_morrison_update(inverse, i, delta)
         s_now = _min_norm_subgradient(d, eta, beta, sigma, np.diag(inverse.V))
-        sigma = update_sigma(sigma, float(np.linalg.norm(s_now)), beta_norm, config)
+        sigma = update_sigma(sigma, float(np.linalg.norm(s_now)), beta_norm)
         g_now = g_value(d)
         if trace is not None:
             trace.append((k, i, delta, sigma, 0.0, g_now))
         if k % check_every == 0:
-            if g_prev - g_now < config.eps_check * max(1.0, abs(g_prev)):
+            if g_prev - g_now < _EPS_CHECK * max(1.0, abs(g_prev)):
                 return SeparationResult(d=d, objective=g_now, iterations=k,
                                         restarts=0, rho=0.0, sigma=sigma,
                                         status="converged", trace=trace)
@@ -303,14 +375,14 @@ SOLVERS = {"smooth": (solve_smooth, reference_smooth),
 
 # Of the SEEDS and seeds 200-229 (less 212, whose base matrix is psd), two
 # converge above the reference, by 1.2e-4 and 1.3e-4 relative: the order
-# of eps_check = 1e-4, the relative improvement below which both stop.
+# of _EPS_CHECK = 1e-4, the relative improvement below which both stop.
 SMOOTH_OBJ_TOL = 2e-4
 
 # Over the same seeds the nonsmooth Newton run converges at most 3.43e-4
 # (relative) above the reference (seed 207; then 191 at 3.38e-4 and 10 at
 # 3.17e-4), and up to 7.6e-4 below it (seed 219): its stop rule sees the
-# true regularizer move by less than eps_check between two cuts of sigma
-# while the barrier gap still holds a few eps_check.
+# true regularizer move by less than _EPS_CHECK between two cuts of sigma
+# while the barrier gap still holds a few _EPS_CHECK.
 NONSMOOTH_OBJ_TOL = 5e-4
 
 OBJ_TOL = {"smooth": SMOOTH_OBJ_TOL, "nonsmooth": NONSMOOTH_OBJ_TOL}
