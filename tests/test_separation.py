@@ -79,8 +79,27 @@ class TestSeeds:
 
 
 class TestStepPieces:
-    # the closed-form coordinate step is the reference solver's kernel;
-    # acceptance test 03 checks its stationarity
+    # the closed-form coordinate step is the reference solver's kernel
+    def test_step_stationarity(self):
+        # Residual of the stationarity equation in cleared form: multiply
+        # through by the (positive) denominator 1 + Delta V_ii, which keeps
+        # the measurement well conditioned next to the barrier pole.
+        # Ranges mirror states the solver can actually visit: |d| inside
+        # the restart trust region, sigma above its floor, moderate rho.
+        rng = np.random.default_rng(23)
+        for _ in range(500):
+            v = 10.0 ** rng.uniform(-2, 2)
+            eta_i = 0.0 if rng.random() < 0.15 else 10.0 ** rng.uniform(-4, 1)
+            rho = 10.0 ** rng.uniform(-8, 0)
+            d_i = rng.uniform(-20.0, 20.0)
+            sigma = 10.0 ** rng.uniform(-5, 1)
+            step = coordinate_step_smooth(0, d_i, eta_i, v, rho, sigma)
+            t = 1.0 + step.delta * v
+            s_lin = eta_i + 2 * rho * (d_i + step.delta)
+            scale = max(1.0, abs(s_lin) * abs(t), sigma * v)
+            assert t > 0.0
+            assert abs(s_lin * t - sigma * v) <= 1e-10 * scale
+
     def test_step_validates(self):
         with pytest.raises(ValueError):
             coordinate_step_smooth(0, 1.0, 1.0, -0.5, 1e-4, 0.1)
