@@ -54,7 +54,7 @@ _RETRY_OPTS = {"max_iter": 400, "tol_gap": 1e-13, "tol_feas": 1e-12}
 # 100, 150) that left every search bound of the benchmark's seed-5501
 # instances as under the default 500; 60 lowered box-card bounds by up to
 # 1.2e-3 relative
-_NODE_SEP = SeparationConfig(max_iter_per_var=100, max_restarts=2)
+_NODE_SEP = SeparationConfig(max_steps=100, max_restarts=2)
 
 # slices with at most this many remaining discrete combinations are
 # enumerated exactly instead of relaxed

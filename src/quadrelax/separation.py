@@ -24,13 +24,13 @@ lambda p - sigma log p - sigma log(p - d_i), which has a closed form
 (``positive_part_epigraph``) and tends to lambda max(d_i, 0) as sigma
 falls.
 
-The path and stop rule are fixed module constants.  sigma is cut to
-max(_SIGMA_MIN, _SIGMA_UPDATE * sigma) (1e-5, 0.8) once the Newton
-gradient norm falls to _EPS_UPDATE (0.03) times the regularizer's slope
-norm, and a round converges once the true regularizer improves by less
-than _EPS_CHECK (1e-4, relative) between two cuts.  The smooth solver
-restarts with rho grown by _RHO_UPDATE (10) whenever an iterate has a
-component above _RESTART_FACTOR (10) times mu = -lambda_min(Q + alpha A^T A).
+The path and stop rule are module constants.  Newton centres each sigma
+level until the gradient norm falls to _EPS_UPDATE (0.03) times the
+regularizer's slope norm.  A round converges once the central-path gap,
+sigma times the number of log terms, is at most _EPS_CHECK (1e-4) of the
+true regularizer or sigma is _SIGMA_MIN (1e-5); else sigma is cut by
+_SIGMA_UPDATE (0.1).  The smooth solver restarts with rho grown by
+_RHO_UPDATE (10) once d exceeds _RESTART_FACTOR (10) times mu.
 """
 
 from __future__ import annotations
@@ -132,16 +132,16 @@ class SeparationConfig:
 
     rho0 seeds the quadratic regularization weight of the smooth solver and
     must be set (``rho_init`` computes the standard seed from the problem
-    data); the nonsmooth solver ignores it.  max_iter_per_var caps the
-    Newton steps of each round: each restart round of the smooth solver,
-    the one round of the nonsmooth solver.  max_restarts caps the smooth
+    data); the nonsmooth solver ignores it.  max_steps caps the Newton
+    steps of each round: each restart round of the smooth solver, the one
+    round of the nonsmooth solver.  max_restarts caps the smooth
     solver's restarts.  trace records one row per accepted Newton step.
     The sigma path, the stop rule and the restart rule are the module
     constants (see the module docstring).
     """
 
     rho0: float | None = None
-    max_iter_per_var: int = 500     # Newton steps per round, see above
+    max_steps: int = 500            # Newton steps per round, see above
     max_restarts: int = 12
     trace: bool = False
 
@@ -241,6 +241,7 @@ class _Quadratic:
     """Smooth regularizer eta'd + rho |d|^2; Newton sees it unchanged."""
 
     moves_with_sigma = False
+    logs_per_coordinate = 1   # the log det alone
 
     def __init__(self, eta, rho):
         self.eta, self.rho = eta, rho
@@ -256,6 +257,7 @@ class _PositivePart:
     barrier epigraph at the current sigma."""
 
     moves_with_sigma = True
+    logs_per_coordinate = 3   # log det, log p and log(p - d)
     rho = 0.0
 
     def __init__(self, eta, lam):
@@ -270,14 +272,15 @@ class _PositivePart:
                 self.eta + slope, curvature)
 
 
-# Armijo fraction of the predicted decrease a Newton step must achieve, and
-# the smallest step length the backtracking line search tries.
+# Armijo fraction of the predicted decrease a Newton step must achieve, the
+# smallest step length the backtracking line search tries, and the relative
+# move of d below which an accepted step ends its sigma level.  Then the
+# sigma path, the stop rule and the restart rule (module docstring).
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-10
-
-# The sigma path, the stop rule and the restart rule (module docstring).
+_ROUNDOFF = 1e-12
 _SIGMA_MIN = 1e-5
-_SIGMA_UPDATE = 0.8
+_SIGMA_UPDATE = 0.1
 _EPS_UPDATE = 0.03
 _EPS_CHECK = 1e-4
 _RHO_UPDATE = 10.0
@@ -290,21 +293,21 @@ def _barrier_factor(base, d):
     return (None, None) if c is None else (c, 2.0 * np.log(c.diagonal()).sum())
 
 
-def _newton(base, d, reg, slopes, ref_norm, restart_mu, max_iter, trace, done):
+def _newton(base, d, reg, slopes, ref_norm, restart_mu, max_steps, trace, done):
     """Damped Newton on reg - sigma logdet(base + diag d), starting from d.
 
     reg(d, sigma) gives the regularizer's value as Newton sees it at the
     current sigma, its true value, and Newton's gradient and Hessian
     diagonal; reg.moves_with_sigma says whether a cut of sigma changes
-    them.  The first sigma balances ``slopes`` against diag V.  sigma is
-    cut when the gradient norm reaches _EPS_UPDATE * ref_norm (or the line
-    search stalls); the run converges once the true value improves by less
-    than _EPS_CHECK (relative) between two cuts, and stops after max_iter
-    steps.  With restart_mu set, an accepted iterate with a component above
-    _RESTART_FACTOR * restart_mu ends the run.  Trace rows are numbered
+    them.  The first sigma balances ``slopes`` against diag V.  A level is
+    centred when the gradient norm reaches _EPS_UPDATE * ref_norm, the line
+    search stalls or a step moves d by roundoff; the gap rule (module
+    docstring) is tested there.  Line searches start at the Dikin radius
+    1 / sqrt(p'(V o V)p), inside which every trial is positive definite.
+    The run stops after max_steps steps, or with restart_mu set, at an
+    iterate above _RESTART_FACTOR * restart_mu.  Trace rows are numbered
     from ``done`` and name the largest coordinate move.  Returns (status,
-    d, steps, sigma, true value), status being "converged", "max_iter" or
-    "restart".
+    d, steps, sigma, true value); status is converged, max_iter or restart.
     """
     n = d.size
     c, logdet = _barrier_factor(base, d)
@@ -313,22 +316,22 @@ def _newton(base, d, reg, slopes, ref_norm, restart_mu, max_iter, trace, done):
     V = cholesky_solve(c, False, np.eye(n))
     sigma = sigma_init(slopes, V.diagonal())
     value, true, grad, curvature = reg(d, sigma)
-    level = math.inf  # true regularizer at the previous cut of sigma
+    m = reg.logs_per_coordinate * n  # the barrier parameter
     stalled, k = False, 0
     while True:
         g = grad - sigma * V.diagonal()
         if stalled or math.sqrt(g @ g) <= _EPS_UPDATE * ref_norm:
-            if level - true < _EPS_CHECK * max(1.0, abs(level)):
+            if sigma == _SIGMA_MIN or m * sigma <= _EPS_CHECK * max(1.0, abs(true)):
                 return "converged", d, k, sigma, true
-            level = true
             sigma = max(_SIGMA_MIN, _SIGMA_UPDATE * sigma)
             if reg.moves_with_sigma:
                 value, true, grad, curvature = reg(d, sigma)
             stalled = False
             continue
-        if k == max_iter:
+        if k == max_steps:
             return "max_iter", d, k, sigma, true
-        H = sigma * V * V
+        VV = V * V
+        H = sigma * VV
         H.flat[::n + 1] += curvature
         c_h = cholesky_factor(H, lower=False)
         if c_h is None:
@@ -336,7 +339,7 @@ def _newton(base, d, reg, slopes, ref_norm, restart_mu, max_iter, trace, done):
             continue
         p = -cholesky_solve(c_h, False, g)
         f, slope = value - sigma * logdet, _ARMIJO * float(g @ p)
-        t = 1.0
+        t = min(1.0, 1.0 / math.sqrt(float(p @ VV @ p)))
         while t >= _MIN_STEP:  # only positive definite trials can pass
             trial = d + t * p
             c, logdet_t = _barrier_factor(base, trial)
@@ -349,6 +352,7 @@ def _newton(base, d, reg, slopes, ref_norm, restart_mu, max_iter, trace, done):
             stalled = True
             continue
         k += 1
+        stalled = t * np.abs(p).max() <= _ROUNDOFF * max(1.0, np.abs(d).max())
         d, logdet = trial, logdet_t
         value, true, grad, curvature = at_trial
         V = cholesky_solve(c, False, np.eye(n))
@@ -371,14 +375,13 @@ def solve_smooth(inp: SeparationInput, config: SeparationConfig) -> SeparationRe
     """
     if config.rho0 is None or config.rho0 <= 0.0:
         raise ValueError("config.rho0 must be a positive regularization seed")
-    n = inp.n
     eta = inp.eta
     base = inp.barrier_base()
     mu = _barrier_mu(base)
     eta_norm = float(np.linalg.norm(eta))
     rho = float(config.rho0)
     trace = [] if config.trace else None
-    d0 = np.full(n, 1.5 * mu)
+    d0 = np.full(inp.n, 1.5 * mu)
     if eta_norm == 0.0:
         # exact relaxation point: every d separates equally, keep the seed
         return SeparationResult(d=d0, objective=rho * float(d0 @ d0),
@@ -386,10 +389,9 @@ def solve_smooth(inp: SeparationInput, config: SeparationConfig) -> SeparationRe
                                 status="converged", trace=trace)
     total_steps = restarts = 0
     while True:
-        reg = _Quadratic(eta, rho)
         status, d, k, sigma, objective = _newton(
-            base, d0, reg, eta + 2.0 * rho * d0, eta_norm, mu,
-            config.max_iter_per_var, trace, total_steps)
+            base, d0, _Quadratic(eta, rho), eta + 2.0 * rho * d0, eta_norm,
+            mu, config.max_steps, trace, total_steps)
         total_steps += k
         if status == "restart":
             if restarts < config.max_restarts:
@@ -411,12 +413,11 @@ def solve_nonsmooth(inp: SeparationInput, config: SeparationConfig) -> Separatio
     No restarts: the regularizer grows linearly, so the iterates cannot
     run away the way the quadratic solver's can.
     """
-    n = inp.n
     eta = inp.eta
     base = inp.barrier_base()
     mu = _barrier_mu(base)
     lam = float(eta.sum())
-    d = np.full(n, 1.5 * mu)
+    d = np.full(inp.n, 1.5 * mu)
     trace = [] if config.trace else None
     if lam <= 1e-14:
         # zero slack vector: every d has the same objective, keep the seed
@@ -424,10 +425,9 @@ def solve_nonsmooth(inp: SeparationInput, config: SeparationConfig) -> Separatio
                                 rho=0.0, sigma=0.0, status="converged",
                                 trace=trace)
     beta = eta + lam  # slopes of the regularizer at the start d > 0
-    reg = _PositivePart(eta, lam)
     status, d, k, sigma, objective = _newton(
-        base, d, reg, beta, float(np.linalg.norm(beta)), None,
-        config.max_iter_per_var, trace, 0)
+        base, d, _PositivePart(eta, lam), beta, float(np.linalg.norm(beta)),
+        None, config.max_steps, trace, 0)
     return SeparationResult(d=d, objective=objective, iterations=k,
                             restarts=0, rho=0.0, sigma=sigma, status=status,
                             trace=trace)

@@ -34,7 +34,7 @@ from quadrelax.separation import (
     solve_smooth,
 )
 
-NODE_SEP = SeparationConfig(max_iter_per_var=100, max_restarts=2)
+NODE_SEP = SeparationConfig(max_steps=100, max_restarts=2)
 
 
 def reference_bound_node(instance, node, alpha, prune_at=np.inf):

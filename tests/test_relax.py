@@ -428,7 +428,7 @@ class TestCuttingSurface:
         # IPM roundoff puts some binary x a hair outside [0, 1], where the
         # secant y = x dips below x**2; the next separation then saw a
         # negative slack and raised.  Here the first epigraph solve has
-        # x_15 = 1 + 1e-12, and the loop must separate at that point.
+        # x_18 = -1e-13, and the loop must separate at that point.
         solves = []
         solve = relax.solve_qcp
 
@@ -437,7 +437,7 @@ class TestCuttingSurface:
             return solves[-1]
 
         monkeypatch.setattr(relax, "solve_qcp", record)
-        inst = generate_instance("binary_card", 20, 0.8, 15019)
+        inst = generate_instance("binary_card", 20, 0.8, 15046)
         res = cutting_surface(inst, select_alpha(inst).alpha, max_cuts=10,
                               mode="smooth")
         outside = [k for k, sol in enumerate(solves)

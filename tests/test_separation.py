@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
-from test_separation_reference import coordinate_step_smooth
+from test_separation_reference import SEEDS, coordinate_step_smooth, seeded_case
 
+from quadrelax import separation
 from quadrelax.linalg import min_eigenvalue, nullspace_basis, projected_min_eigenvalue
 from quadrelax.separation import (
+    _EPS_CHECK,
+    _SIGMA_MIN,
     SeparationConfig,
     SeparationInput,
     eta_from_relaxation,
@@ -219,6 +222,55 @@ class TestSolveNonsmooth:
             assert res.objective == pytest.approx(2.0 * eta, rel=1e-3)
             assert res.objective == pytest.approx(2.0 * eta * res.d[0],
                                                   rel=1e-14)
+
+
+class TestStopRule:
+    SOLVES = {"smooth": (solve_smooth, separation._Quadratic),
+              "nonsmooth": (solve_nonsmooth, separation._PositivePart)}
+
+    @pytest.mark.parametrize("mode", ["smooth", "nonsmooth"])
+    def test_no_failed_trial_factorization(self, mode, monkeypatch):
+        # every line search starts inside the Dikin ellipsoid, so every
+        # barrier matrix Newton factors is positive definite
+        factors = []
+        factor = separation._barrier_factor
+
+        def record(base, d):
+            factors.append(factor(base, d))
+            return factors[-1]
+
+        monkeypatch.setattr(separation, "_barrier_factor", record)
+        solve = self.SOLVES[mode][0]
+        for seed in SEEDS:
+            solve(*seeded_case(seed))
+        assert factors
+        assert all(c is not None for c, _ in factors)
+
+    @pytest.mark.parametrize("mode", ["smooth", "nonsmooth"])
+    def test_converged_run_meets_gap_rule(self, mode):
+        solve, reg = self.SOLVES[mode]
+        converged = 0
+        for seed in SEEDS:
+            inp, cfg = seeded_case(seed)
+            res = solve(inp, cfg)
+            if res.status != "converged" or res.iterations == 0:
+                continue
+            converged += 1
+            gap = reg.logs_per_coordinate * inp.n * res.sigma
+            assert (res.sigma == _SIGMA_MIN
+                    or gap <= _EPS_CHECK * max(1.0, abs(res.objective)))
+        assert converged >= 5
+
+    def test_tiny_slacks_converge(self):
+        # With |eta| ~ 1e-10 the gradient test sits below roundoff, and the
+        # line search would go on accepting steps that move d by roundoff
+        # only; such a step must end its sigma level.
+        for seed in range(20, 27):
+            inp, _ = seeded_case(seed)
+            eta = 1e-10 * np.abs(np.random.default_rng(seed).normal(size=inp.n))
+            tiny = SeparationInput(Q=inp.Q, A=inp.A, alpha=inp.alpha, eta=eta)
+            res = solve_smooth(tiny, SeparationConfig(rho0=1e-4))
+            assert res.status == "converged"
 
 
 class TestPositivePartEpigraph:
