@@ -50,10 +50,10 @@ __all__ = [
 _RETRY_OPTS = {"max_iter": 400, "tol_gap": 1e-13, "tol_feas": 1e-12}
 
 # separation at nodes runs on a reduced budget; one adequate cut is all a
-# node gets to use.  100 Newton steps is the smallest cap tried (30, 60,
-# 100, 150) that left every search bound of the benchmark's seed-5501
-# instances as under the default 500; 60 lowered box-card bounds by up to
-# 1.2e-3 relative
+# node gets to use.  On the first passes of the benchmark's seeds 777-779,
+# node rounds take a median of 28 Newton steps (p99 83) and 1 of 1,699
+# reaches the 100-step cap; root rounds, on the default 500, take at most
+# 100 steps and 2 restarts
 _NODE_SEP = SeparationConfig(max_steps=100, max_restarts=2)
 
 # slices with at most this many remaining discrete combinations are
@@ -208,8 +208,7 @@ def bound_node(instance: MiqpInstance, node: Node, alpha: float,
     if folded is not None:
         return folded
 
-    scale = max(1.0, float(np.abs(red.Qr).max(initial=0.0)))
-    if red.structure.nullspace_min_eigenvalue >= -1e-9 * scale:
+    if red.structure.convex:
         sol = _solve_child(instance, np.zeros(instance.n), bounds, red=red)
         if sol is None:
             return NodeBound(node.lb, node.d, None, certified=False)
@@ -398,42 +397,34 @@ def solve(instance: MiqpInstance, config: BnbConfig | None = None) -> SolveRepor
     root_node = Node(instance.lower.copy(), instance.upper.copy(),
                      d_root, root_lb, 0)
 
-    # open set with two views: a stack drives depth-first plunging while no
-    # incumbent exists (otherwise nothing ever prunes), the heap takes over
-    # for best-bound selection once one is found
-    entries = {}
-    heap = []
-    stack = []
+    # open nodes (lb, seq, node, sol): a stack drives depth-first plunging
+    # while no incumbent exists (otherwise nothing ever prunes); the first
+    # incumbent heapifies it for best-bound selection
+    open_nodes = []
+    heaped = False
     seq = itertools.count()
     lbd = root_lb
     status = None
     if ubd - root_lb > _ABS_TOL:
-        eid = next(seq)
-        entries[eid] = (root_lb, root_node, root_sol)
-        heapq.heappush(heap, (root_lb, eid))
-        stack.append(eid)
+        open_nodes.append((root_lb, next(seq), root_node, root_sol))
         max_stored = 1
 
-    while entries:
+    while open_nodes:
         if cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit:
             status = "time_limit"
             break
         if nodes >= cfg.node_limit:
             status = "node_limit"
             break
-        while heap and heap[0][1] not in entries:
-            heapq.heappop(heap)
-        lbd = max(lbd, heap[0][0])
+        if not heaped and np.isfinite(ubd):
+            heapq.heapify(open_nodes)
+            heaped = True
+        lbd = max(lbd, (open_nodes[0] if heaped else min(open_nodes))[0])
         if ubd - lbd <= _gap_tol(lbd, cfg):
             status = "optimal"
             break
-        if not np.isfinite(ubd):
-            while stack[-1] not in entries:
-                stack.pop()
-            lb, node, sol = entries.pop(stack.pop())
-        else:
-            lb, node, sol = entries.pop(heap[0][1])
-            heapq.heappop(heap)
+        lb, _, node, sol = (heapq.heappop(open_nodes) if heaped
+                            else open_nodes.pop())
         if lb >= ubd - _ABS_TOL:
             continue
         children = (branch(instance, node, sol) if sol is not None
@@ -460,11 +451,12 @@ def solve(instance: MiqpInstance, config: BnbConfig | None = None) -> SolveRepor
             opened.append((child, nb.solution))
         # plunge order: push the most promising child last
         for child, csol in sorted(opened, key=lambda t: -t[0].lb):
-            eid = next(seq)
-            entries[eid] = (child.lb, child, csol)
-            heapq.heappush(heap, (child.lb, eid))
-            stack.append(eid)
-        max_stored = max(max_stored, len(entries))
+            entry = (child.lb, next(seq), child, csol)
+            if heaped:
+                heapq.heappush(open_nodes, entry)
+            else:
+                open_nodes.append(entry)
+        max_stored = max(max_stored, len(open_nodes))
 
     if status is None:
         if np.isfinite(ubd):

@@ -47,7 +47,6 @@ from .linalg import (
 from .model import MiqpInstance
 from .separation import (
     SeparationConfig,
-    SeparationInput,
     eta_from_relaxation,
     rho_init,
     solve_nonsmooth,
@@ -294,6 +293,12 @@ class FreeSetStructure:
     def nullspace_min_eigenvalue(self) -> float:
         """Smallest eigenvalue of Z^T Qr Z, computed on first use."""
         return projected_min_eigenvalue(self.Qr, self.basis)
+
+    @cached_property
+    def convex(self) -> bool:
+        """The node gate: Z^T Qr Z >= -_GATE_TOL * max(1, max |Qr_ij|)."""
+        scale = max(1.0, float(np.abs(self.Qr).max(initial=0.0)))
+        return self.nullspace_min_eigenvalue >= -_GATE_TOL * scale
 
 
 @dataclass
@@ -751,23 +756,25 @@ def next_cut(red: ReducedProblem, alpha: float, sol: RelaxationSolution,
              d_fill, solver, config: SeparationConfig):
     """One separation round at the relaxation point sol.
 
-    Runs solver (solve_smooth or solve_nonsmooth, both damped Newton on
-    the log-det barrier) on the slacks of the free variables and embeds its
-    d into a copy of d_fill, which supplies the fixed coordinates.  Returns
-    that cut when it violates sol by more than 1e-6 * max(1, |v|), else
-    None (also when sol is exact on the free variables, where no
-    separation runs).  The solver runs with config's other fields and the
-    standard seed ``rho_init`` of the reduced problem as rho0.
+    The one place that forms the penalty matrix B = Qr + alpha Ar^T Ar (Qr
+    without rows).  solver (solve_smooth or solve_nonsmooth) separates the
+    free slacks eta_f over {d : B + diag d psd}, with config's other fields
+    and rho0 = ``rho_init`` of the reduced problem; its d, embedded into a
+    copy of d_fill for the fixed coordinates, is returned when it violates
+    sol by more than 1e-6 * max(1, |v|), else None.  Such a d has d_i >=
+    -B_ii, lifts keep y >= x**2 and fixed slacks are 0, so no cut violates
+    sol by more than quad_value - v + diag(B)^T eta_f; when that is within
+    the tolerance the solver is not run.
     """
     eta_f = eta_from_relaxation(sol.x[red.free], sol.y[red.free])
-    if float(eta_f.max(initial=0.0)) <= 1e-12:
-        return None  # relaxation is exact at this point
+    B = red.Qr + alpha * (red.Ar.T @ red.Ar) if red.Ar.shape[0] else red.Qr
+    tol = _VIOLATION_TOL * max(1.0, abs(sol.v))
+    if sol.quad_value - sol.v + float(B.diagonal() @ eta_f) <= tol:
+        return None
     config = replace(config, rho0=rho_init(red.Qr, red.lower, red.upper))
-    sep = solver(SeparationInput(Q=red.Qr, A=red.Ar, alpha=alpha, eta=eta_f),
-                 config)
     d = np.array(d_fill, dtype=float)
-    d[red.free] = sep.d
-    if cut_violation(d, sol) <= _VIOLATION_TOL * max(1.0, abs(sol.v)):
+    d[red.free] = solver(B, eta_f, config).d
+    if cut_violation(d, sol) <= tol:
         return None
     return d
 

@@ -1,18 +1,18 @@
 """Separation of diagonal perturbations on a log-det barrier.
 
-Given a relaxation point with slacks eta_i = y_i - x_i**2 >= 0, a deeper
-cut is a diagonal d in the set D = {d : Q + diag(d) + alpha A^T A psd} that
-minimizes eta^T d.  Both solvers run damped Newton on the barrier
-formulation
+Given a relaxation point with slacks eta_i = y_i - x_i**2 >= 0 and a
+symmetric matrix B, a deeper cut is a diagonal d in the set
+D = {d : B + diag(d) psd} that minimizes eta^T d.  The caller forms B
+(``relax.next_cut`` passes its penalty form); this module only sees the
+LMI.  Both solvers run damped Newton on the barrier formulation
 
-    min  reg(d) - sigma * log det(Q + alpha A^T A + diag(d))
+    min  reg(d) - sigma * log det(B + diag(d))
 
-along a decreasing path of sigma.  With V = (Q + alpha A^T A + diag d)^-1
-the barrier adds -sigma diag V to the gradient and sigma V o V
-(elementwise product) to the Hessian; the regularizer adds its own
-gradient and a diagonal.  Every iterate keeps the barrier matrix positive
-definite, so any returned d is a member of D regardless of how early the
-iteration stops.
+along a decreasing path of sigma.  With V = (B + diag d)^-1 the barrier
+adds -sigma diag V to the gradient and sigma V o V (elementwise product)
+to the Hessian; the regularizer adds its own gradient and a diagonal.
+Every iterate keeps the barrier matrix positive definite, so any
+returned d is a member of D regardless of how early the iteration stops.
 
 ``solve_smooth`` takes reg = eta^T d + rho ||d||^2, with gradient
 eta + 2 rho d and Hessian 2 rho I.
@@ -43,7 +43,6 @@ import numpy as np
 from .linalg import cholesky_factor, cholesky_solve, min_eigenvalue
 
 __all__ = [
-    "SeparationInput",
     "SeparationConfig",
     "SeparationResult",
     "eta_from_relaxation",
@@ -74,56 +73,6 @@ def eta_from_relaxation(x, y) -> np.ndarray:
         raise ValueError(f"negative slack {low:.3e} below tolerance; "
                          "point is not a relaxation point")
     return np.maximum(eta, 0.0)
-
-
-@dataclass(frozen=True)
-class SeparationInput:
-    """Data of one separation problem.
-
-    Q : symmetric objective matrix (restricted to free variables).
-    A : equality rows (may have zero rows).
-    alpha : nonnegative multiplier of A^T A in the barrier matrix.
-    eta : relaxation slacks, elementwise >= 0 after clamping.
-    """
-
-    Q: np.ndarray
-    A: np.ndarray
-    alpha: float
-    eta: np.ndarray
-
-    def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        n = Q.shape[0]
-        if Q.shape != (n, n):
-            raise ValueError(f"Q must be square, got {Q.shape}")
-        if np.abs(Q - Q.T).max(initial=0.0) > 1e-8 * max(1.0, np.abs(Q).max(initial=0.0)):
-            raise ValueError("Q must be symmetric")
-        A = self.A
-        A = np.zeros((0, n)) if A is None or np.size(A) == 0 \
-            else np.atleast_2d(np.asarray(A, dtype=float))
-        if A.shape[1] != n:
-            raise ValueError(f"A must have {n} columns, got {A.shape}")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        eta = np.asarray(self.eta, dtype=float).reshape(-1)
-        if eta.shape[0] != n:
-            raise ValueError(f"eta must have length {n}")
-        if eta.min(initial=0.0) < _ETA_FLOOR:
-            raise ValueError(f"eta has component {eta.min():.3e} below tolerance")
-        object.__setattr__(self, "Q", 0.5 * (Q + Q.T))
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "eta", np.maximum(eta, 0.0))
-
-    @property
-    def n(self) -> int:
-        return self.Q.shape[0]
-
-    def barrier_base(self) -> np.ndarray:
-        """Q + alpha A^T A, the matrix the diagonal perturbation is added to."""
-        if self.A.shape[0] == 0 or self.alpha == 0.0:
-            return self.Q.copy()
-        return self.Q + self.alpha * (self.A.T @ self.A)
 
 
 @dataclass
@@ -202,12 +151,30 @@ def sigma_init(slopes, v_diag) -> float:
     return float(np.median(np.abs(slopes) / v_diag))
 
 
-def _barrier_mu(base: np.ndarray) -> float:
-    mu = -min_eigenvalue(base)
+def _barrier_start(base, eta):
+    """Checked (B, eta), mu = -lambda_min(B) and the start d = 1.5 mu.
+
+    B must be square and symmetric to 1e-8 (it is symmetrized), eta one
+    slack per row, none below _ETA_FLOOR (clamped at 0), and B not psd;
+    else ValueError.
+    """
+    B = np.asarray(base, dtype=float)
+    n = B.shape[0]
+    if B.shape != (n, n):
+        raise ValueError(f"B must be square, got {B.shape}")
+    if np.abs(B - B.T).max(initial=0.0) > 1e-8 * max(1.0, np.abs(B).max(initial=0.0)):
+        raise ValueError("B must be symmetric")
+    eta = np.asarray(eta, dtype=float).reshape(-1)
+    if eta.shape[0] != n:
+        raise ValueError(f"eta must have length {n}")
+    if eta.min(initial=0.0) < _ETA_FLOOR:
+        raise ValueError(f"eta has component {eta.min():.3e} below tolerance")
+    B = 0.5 * (B + B.T)
+    mu = -min_eigenvalue(B)
     if mu <= 0.0:
         raise ValueError("matrix is already positive semidefinite; "
                          "there is nothing to separate")
-    return mu
+    return B, np.maximum(eta, 0.0), mu, np.full(n, 1.5 * mu)
 
 
 def positive_part_epigraph(d, lam, sigma):
@@ -364,24 +331,22 @@ def _newton(base, d, reg, slopes, ref_norm, restart_mu, max_steps, trace, done):
             return "restart", d, k, sigma, true
 
 
-def solve_smooth(inp: SeparationInput, config: SeparationConfig) -> SeparationResult:
+def solve_smooth(base, eta, config: SeparationConfig) -> SeparationResult:
     """Damped Newton on the quadratically regularized separation problem.
 
-    Implements the restart strategy: whenever an accepted iterate has a
-    component of d above _RESTART_FACTOR * mu the regularization was too
-    weak, so rho grows by _RHO_UPDATE and the iteration restarts from
-    scratch (d = 1.5 mu, fresh factorization, fresh sigma).  Returns the
-    final d, which lies in D at any stopping status.
+    base is the matrix B and eta the slacks.  Restart strategy: whenever
+    an accepted iterate has a component of d above _RESTART_FACTOR * mu
+    the regularization was too weak, so rho grows by _RHO_UPDATE and the
+    iteration restarts from scratch (d = 1.5 mu, fresh factorization,
+    fresh sigma).  Returns the final d, which lies in D at any stopping
+    status.
     """
     if config.rho0 is None or config.rho0 <= 0.0:
         raise ValueError("config.rho0 must be a positive regularization seed")
-    eta = inp.eta
-    base = inp.barrier_base()
-    mu = _barrier_mu(base)
+    base, eta, mu, d0 = _barrier_start(base, eta)
     eta_norm = float(np.linalg.norm(eta))
     rho = float(config.rho0)
     trace = [] if config.trace else None
-    d0 = np.full(inp.n, 1.5 * mu)
     if eta_norm == 0.0:
         # exact relaxation point: every d separates equally, keep the seed
         return SeparationResult(d=d0, objective=rho * float(d0 @ d0),
@@ -405,19 +370,17 @@ def solve_smooth(inp: SeparationInput, config: SeparationConfig) -> SeparationRe
                                 trace=trace)
 
 
-def solve_nonsmooth(inp: SeparationInput, config: SeparationConfig) -> SeparationResult:
+def solve_nonsmooth(base, eta, config: SeparationConfig) -> SeparationResult:
     """Damped Newton with the one-sided regularizer lambda sum(max(d, 0)).
 
-    lambda = sum(eta).  Newton runs on the regularizer's barrier epigraph
-    (``positive_part_epigraph``) and stops on, and reports, its true value.
-    No restarts: the regularizer grows linearly, so the iterates cannot
-    run away the way the quadratic solver's can.
+    base and eta are as for ``solve_smooth``; lambda = sum(eta).  Newton
+    runs on the regularizer's barrier epigraph (``positive_part_epigraph``)
+    and stops on, and reports, its true value.  No restarts: the
+    regularizer grows linearly, so the iterates cannot run away the way
+    the quadratic solver's can.
     """
-    eta = inp.eta
-    base = inp.barrier_base()
-    mu = _barrier_mu(base)
+    base, eta, _, d = _barrier_start(base, eta)
     lam = float(eta.sum())
-    d = np.full(inp.n, 1.5 * mu)
     trace = [] if config.trace else None
     if lam <= 1e-14:
         # zero slack vector: every d has the same objective, keep the seed

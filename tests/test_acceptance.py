@@ -39,11 +39,7 @@ from quadrelax.relax import (
     select_alpha,
     solve_eigenvalue_relaxation,
 )
-from quadrelax.separation import (
-    SeparationConfig,
-    SeparationInput,
-    solve_smooth,
-)
+from quadrelax.separation import SeparationConfig, solve_smooth
 
 ARTIFACTS = Path(__file__).parent / "artifacts"
 
@@ -53,18 +49,18 @@ def verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num} ({name}) failed{': ' + detail if detail else ''}"
 
 
-# the 2x2 anchor problem: barrier matrix [[d1, 2], [2, d2]], so the
-# admissible perturbations satisfy d1 >= 0, d2 >= 0, d1*d2 >= 4
+# the 2x2 anchor problem: Q + alpha A'A with alpha = 1 (exact), so the
+# barrier matrix is [[d1, 2], [2, d2]] and the admissible perturbations
+# satisfy d1 >= 0, d2 >= 0, d1*d2 >= 4
 ANCHOR_Q = np.array([[0.0, 2.0], [2.0, -1.0]])
 ANCHOR_A = np.array([[0.0, 1.0]])
+ANCHOR_B = ANCHOR_Q + 1.0 * ANCHOR_A.T @ ANCHOR_A
 
 
 def test_01_smooth_separation_anchor():
     eta = np.array([0.25, 0.25])
     t0 = time.perf_counter()
-    res = solve_smooth(SeparationInput(Q=ANCHOR_Q, A=ANCHOR_A, alpha=1.0,
-                                       eta=eta),
-                       SeparationConfig(rho0=1e-4))
+    res = solve_smooth(ANCHOR_B, eta, SeparationConfig(rho0=1e-4))
     dt = time.perf_counter() - t0
     rho = 1e-4
     # independent grid oracle: minimize eta.d + rho|d|^2 over the
@@ -93,9 +89,7 @@ def test_01_smooth_separation_anchor():
 def test_02_degenerate_direction_restart():
     eta = np.array([0.24, 0.0])
     t0 = time.perf_counter()
-    res = solve_smooth(SeparationInput(Q=ANCHOR_Q, A=ANCHOR_A, alpha=1.0,
-                                       eta=eta),
-                       SeparationConfig(rho0=1e-8))
+    res = solve_smooth(ANCHOR_B, eta, SeparationConfig(rho0=1e-8))
     dt = time.perf_counter() - t0
     checks = {
         "finite termination": res.status in ("converged", "max_iter"),

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from quadrelax.bnb import (
     BnbConfig,
     Node,
+    _repair,
     bound_node,
     branch,
     brute_force_oracle,
@@ -323,6 +325,39 @@ class TestBoundNode:
             nb = bound_node(inst, root_node(inst, d=d), sel.alpha,
                             separate=False)
             assert nb.lb <= brute_force_oracle(inst) + 1e-7
+
+
+class TestRepair:
+    # x0 integer in [-3, 3], x1 continuous in [0, 5] and x0 + x1 = 2.5: a
+    # snapped point misses the row, so the completion LP runs
+    @staticmethod
+    def mixed():
+        return make([[1.0, 0.5], [0.5, -1.0]], [0.0, 0.0], [[1.0, 1.0]],
+                    [2.5], [VariableDomain("integer_range", -3.0, 3.0),
+                            VariableDomain("interval", 0.0, 5.0)])
+
+    def test_completion_restores_the_row(self):
+        inst = self.mixed()
+        assert _repair(inst, np.array([0.0, 2.1])) == pytest.approx(
+            [0.0, 2.5], abs=1e-12)
+        # x1 would have to be -0.5
+        assert _repair(inst, np.array([3.0, 2.1])) is None
+
+    def test_search_reaches_the_completion(self, monkeypatch):
+        calls = []
+        linprog = optimize.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "linprog", counting)
+        rep = solve(self.mixed())
+        # on the row, f = -x0**2 + 7.5 x0 - 6.25 over x0 in {-2, ..., 2}
+        assert rep.status == "optimal"
+        assert rep.upper_bound == pytest.approx(-25.25, abs=1e-9)
+        assert rep.best_point == pytest.approx([-2.0, 4.5], abs=1e-9)
+        assert calls
 
 
 class TestBruteForce:

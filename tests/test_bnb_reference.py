@@ -28,7 +28,6 @@ from quadrelax.relax import (
 )
 from quadrelax.separation import (
     SeparationConfig,
-    SeparationInput,
     eta_from_relaxation,
     rho_init,
     solve_smooth,
@@ -66,8 +65,7 @@ def reference_bound_node(instance, node, alpha, prune_at=np.inf):
         return NodeBound(sol1.value, node.d, sol1)
 
     cfg = replace(NODE_SEP, rho0=rho_init(red.Qr, red.lower, red.upper))
-    sep = solve_smooth(SeparationInput(Q=red.Qr, A=red.Ar, alpha=alpha,
-                                       eta=eta_f), cfg)
+    sep = solve_smooth(red.Qr + alpha * (red.Ar.T @ red.Ar), eta_f, cfg)
     d_new = node.d.copy()
     d_new[red.free] = sep.d
 

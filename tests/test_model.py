@@ -144,6 +144,24 @@ def test_only_model_reads_domain_kind():
     assert readers == []
 
 
+def test_separation_names_no_penalty_form():
+    # relax.next_cut is the one place that writes B = Q + alpha A'A;
+    # separation solves over {d : B + diag d psd} and names neither the
+    # penalty weight nor the equality rows
+    path = (pathlib.Path(__file__).resolve().parent.parent / "src"
+            / "quadrelax" / "separation.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            names.add(node.arg)
+    assert not names & {"alpha", "A", "Ar"}
+
+
 class TestHulls:
     def test_interval_secant_and_square(self):
         inst = make_instance(np.zeros((1, 1)), [0.0],

@@ -1,5 +1,7 @@
 """Tests for the relaxation chain: alpha, spectral bound, QCP, cut loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,18 @@ from quadrelax.relax import (
     cut_violation,
     cutting_surface,
     initial_perturbation,
+    next_cut,
     select_alpha,
     solve_eigenvalue_relaxation,
     solve_qcp,
     solve_qp_child,
     surrogate_root_perturbation,
+)
+from quadrelax.separation import (
+    SeparationConfig,
+    eta_from_relaxation,
+    rho_init,
+    solve_smooth,
 )
 
 Q_SADDLE = np.array([[0.0, 2.0], [2.0, -1.0]])
@@ -356,6 +365,72 @@ class TestCutViolation:
                                                                abs(qp.value))
                 checked += 1
         assert checked >= 6
+
+
+def _never_called(base, eta, config):
+    raise AssertionError("the round separated")
+
+
+class TestNextCut:
+    @staticmethod
+    def saddle_round(slack, gap):
+        # a point at (0.5, 0.5) whose epigraph value sits gap below x'Qx
+        inst = saddle_instance()
+        red = ReducedProblem.build(inst, inst.lower, inst.upper)
+        x = np.array([0.5, 0.5])
+        quad = float(x @ inst.Q @ x)
+        sol = RelaxationSolution(x=x, y=x ** 2 + np.asarray(slack), value=0.0,
+                                 v=quad - gap, quad_value=quad)
+        return red, select_alpha(inst).alpha, sol
+
+    def test_near_exact_round_skips_the_solver(self):
+        red, alpha, sol = self.saddle_round([1e-9, 0.0], 0.0)
+        assert next_cut(red, alpha, sol, np.zeros(2), _never_called,
+                        SeparationConfig()) is None
+
+    def test_round_above_the_bound_separates(self):
+        red, alpha, sol = self.saddle_round([0.3, 0.2], 1.0)
+        calls = []
+
+        def solver(base, eta, config):
+            calls.append(base)
+            return solve_smooth(base, eta, config)
+
+        d = next_cut(red, alpha, sol, np.zeros(2), solver, SeparationConfig())
+        assert d is not None and len(calls) == 1
+        assert cut_violation(d, sol) > 1e-6
+
+    @pytest.mark.parametrize("family,n,seed", [("eq_integer", 5, 4),
+                                               ("boxqp", 8, 4)])
+    def test_bound_covers_every_recorded_round(self, family, n, seed,
+                                               monkeypatch):
+        rounds = []
+        real = relax.next_cut
+
+        def record(*args):
+            rounds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(relax, "next_cut", record)
+        monkeypatch.setattr(bnb, "next_cut", record)
+        bnb.solve(generate_instance(family, n, 0.8, seed),
+                  bnb.BnbConfig(node_limit=150, max_nc=3))
+        skipped = 0
+        for red, alpha, sol, d_fill, solver, config in rounds:
+            eta = eta_from_relaxation(sol.x[red.free], sol.y[red.free])
+            if not eta.any():
+                continue
+            # what any d of {d : B + diag d psd} can violate sol by
+            B = red.Qr + alpha * (red.Ar.T @ red.Ar)
+            bound = sol.quad_value - sol.v + float(B.diagonal() @ eta)
+            cfg = replace(config, rho0=rho_init(red.Qr, red.lower, red.upper))
+            d = np.array(d_fill, dtype=float)
+            d[red.free] = solver(B, eta, cfg).d
+            scale = max(1.0, abs(sol.v))
+            assert cut_violation(d, sol) <= bound + 1e-12 * scale
+            skipped += bound <= 1e-6 * scale
+        # some rounds had nonzero slacks but no cut to give
+        assert skipped
 
 
 class TestSurrogate:

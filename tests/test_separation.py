@@ -10,7 +10,6 @@ from quadrelax.separation import (
     _EPS_CHECK,
     _SIGMA_MIN,
     SeparationConfig,
-    SeparationInput,
     eta_from_relaxation,
     positive_part_epigraph,
     rho_init,
@@ -19,9 +18,10 @@ from quadrelax.separation import (
     solve_smooth,
 )
 
-# Worked 2x2 problem: one equality row, indefinite Q.
+# Worked 2x2 problem: one equality row, indefinite Q, alpha = 1.
 Q2 = np.array([[0.0, 2.0], [2.0, -1.0]])
 A2 = np.array([[0.0, 1.0]])
+B2 = Q2 + 1.0 * A2.T @ A2
 
 
 def random_indefinite_input(rng, n, with_rows=True):
@@ -34,7 +34,7 @@ def random_indefinite_input(rng, n, with_rows=True):
     if min_eigenvalue(base) >= -1e-6:
         Q = Q - (abs(min_eigenvalue(base)) + 1.0) * np.eye(n)
     eta = np.abs(rng.normal(size=n))
-    return SeparationInput(Q=Q, A=A, alpha=alpha, eta=eta)
+    return Q, A, Q + alpha * A.T @ A, eta
 
 
 class TestEta:
@@ -112,56 +112,53 @@ class TestStepPieces:
 
 class TestSolveSmooth:
     def test_worked_case_symmetric_slack(self):
-        inp = SeparationInput(Q=Q2, A=A2, alpha=1.0, eta=[0.25, 0.25])
-        res = solve_smooth(inp, SeparationConfig(rho0=1e-4))
+        eta = np.array([0.25, 0.25])
+        res = solve_smooth(B2, eta, SeparationConfig(rho0=1e-4))
         assert res.status == "converged"
         # membership boundary for this data is d1*d2 = 4, d >= 0
         assert np.abs(res.d - 2.0).max() < 0.2
-        assert inp.eta @ res.d == pytest.approx(1.0, abs=0.05)
+        assert eta @ res.d == pytest.approx(1.0, abs=0.05)
         assert res.d[0] * res.d[1] >= 4.0 * (1 - 1e-6)
 
     def test_weak_regularization_restarts(self):
-        inp = SeparationInput(Q=Q2, A=A2, alpha=1.0, eta=[0.24, 0.0])
-        res = solve_smooth(inp, SeparationConfig(rho0=1e-8))
+        res = solve_smooth(B2, [0.24, 0.0], SeparationConfig(rho0=1e-8))
         assert res.status == "converged"
         assert res.restarts >= 1
         assert res.rho > 1e-8
         assert res.d[0] * res.d[1] >= 4.0 * (1 - 1e-6)
 
     def test_rho0_required(self):
-        inp = SeparationInput(Q=Q2, A=A2, alpha=1.0, eta=[0.25, 0.25])
         with pytest.raises(ValueError, match="rho0"):
-            solve_smooth(inp, SeparationConfig())
+            solve_smooth(B2, [0.25, 0.25], SeparationConfig())
 
     def test_psd_input_rejected(self):
-        inp = SeparationInput(Q=np.eye(2), A=np.zeros((0, 2)), alpha=0.0,
-                              eta=[1.0, 1.0])
         with pytest.raises(ValueError, match="positive semidefinite"):
-            solve_smooth(inp, SeparationConfig(rho0=1e-4))
+            solve_smooth(np.eye(2), [1.0, 1.0], SeparationConfig(rho0=1e-4))
 
     def test_returned_d_always_in_membership_set(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
             n = int(rng.integers(2, 9))
-            inp = random_indefinite_input(rng, n, with_rows=bool(rng.integers(2)))
+            Q, _, B, eta = random_indefinite_input(
+                rng, n, with_rows=bool(rng.integers(2)))
             cfg = SeparationConfig(rho0=float(10.0 ** rng.uniform(-8, -2)))
-            res = solve_smooth(inp, cfg)
-            lam = min_eigenvalue(inp.barrier_base() + np.diag(res.d))
-            assert lam >= -1e-8 * max(1.0, np.abs(inp.Q).max())
+            res = solve_smooth(B, eta, cfg)
+            lam = min_eigenvalue(B + np.diag(res.d))
+            assert lam >= -1e-8 * max(1.0, np.abs(Q).max())
 
     def test_projected_psd_on_nullspace(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
             n = int(rng.integers(3, 8))
-            inp = random_indefinite_input(rng, n, with_rows=True)
-            res = solve_smooth(inp, SeparationConfig(rho0=1e-4))
-            basis = nullspace_basis(inp.A)
-            lam = projected_min_eigenvalue(inp.Q + np.diag(res.d), basis)
+            Q, A, B, eta = random_indefinite_input(rng, n, with_rows=True)
+            res = solve_smooth(B, eta, SeparationConfig(rho0=1e-4))
+            basis = nullspace_basis(A)
+            lam = projected_min_eigenvalue(Q + np.diag(res.d), basis)
             assert lam >= -1e-6
 
     def test_trace_rows(self):
-        inp = SeparationInput(Q=Q2, A=A2, alpha=1.0, eta=[0.25, 0.25])
-        res = solve_smooth(inp, SeparationConfig(rho0=1e-4, trace=True))
+        res = solve_smooth(B2, [0.25, 0.25],
+                           SeparationConfig(rho0=1e-4, trace=True))
         # one row per Newton step, naming its largest coordinate move
         assert res.trace and len(res.trace) == res.iterations
         assert all(len(row) == 6 for row in res.trace)
@@ -173,8 +170,7 @@ class TestSolveSmooth:
 
 class TestSolveNonsmooth:
     def test_worked_case(self):
-        inp = SeparationInput(Q=Q2, A=A2, alpha=1.0, eta=[0.25, 0.25])
-        res = solve_nonsmooth(inp, SeparationConfig())
+        res = solve_nonsmooth(B2, [0.25, 0.25], SeparationConfig())
         assert res.status == "converged"
         assert np.abs(res.d - 2.0).max() < 0.2
         assert res.d[0] * res.d[1] >= 4.0 * (1 - 1e-6)
@@ -183,17 +179,17 @@ class TestSolveNonsmooth:
         rng = np.random.default_rng(43)
         for _ in range(20):
             n = int(rng.integers(2, 9))
-            inp = random_indefinite_input(rng, n, with_rows=bool(rng.integers(2)))
-            res = solve_nonsmooth(inp, SeparationConfig())
-            lam = min_eigenvalue(inp.barrier_base() + np.diag(res.d))
-            assert lam >= -1e-8 * max(1.0, np.abs(inp.Q).max())
+            Q, _, B, eta = random_indefinite_input(
+                rng, n, with_rows=bool(rng.integers(2)))
+            res = solve_nonsmooth(B, eta, SeparationConfig())
+            lam = min_eigenvalue(B + np.diag(res.d))
+            assert lam >= -1e-8 * max(1.0, np.abs(Q).max())
 
     def test_zero_slack_early_return(self):
-        inp = SeparationInput(Q=Q2, A=A2, alpha=1.0, eta=[0.0, 0.0])
-        res = solve_nonsmooth(inp, SeparationConfig())
+        res = solve_nonsmooth(B2, [0.0, 0.0], SeparationConfig())
         assert res.status == "converged"
         assert res.iterations == 0
-        lam = min_eigenvalue(inp.barrier_base() + np.diag(res.d))
+        lam = min_eigenvalue(B2 + np.diag(res.d))
         assert lam >= 0.0
 
     def test_negative_coordinates_allowed(self):
@@ -202,9 +198,7 @@ class TestSolveNonsmooth:
         Q = np.array([[5.0, 0.0, 0.0],
                       [0.0, -1.0, 2.0],
                       [0.0, 2.0, -1.0]])
-        inp = SeparationInput(Q=Q, A=np.zeros((0, 3)), alpha=0.0,
-                              eta=[5.0, 0.1, 0.1])
-        res = solve_nonsmooth(inp, SeparationConfig())
+        res = solve_nonsmooth(Q, [5.0, 0.1, 0.1], SeparationConfig())
         assert res.d[0] < 0.0
         lam = min_eigenvalue(Q + np.diag(res.d))
         assert lam >= -1e-8
@@ -214,9 +208,7 @@ class TestSolveNonsmooth:
         # Q = [[-1]] admits exactly d >= 1, and lambda = eta, so the
         # regularizer is 2 eta d on d > 0: the minimum is d = 1, 2 eta.
         for eta in (0.5, 3.0):
-            inp = SeparationInput(Q=[[-1.0]], A=np.zeros((0, 1)), alpha=0.0,
-                                  eta=[eta])
-            res = solve_nonsmooth(inp, SeparationConfig())
+            res = solve_nonsmooth([[-1.0]], [eta], SeparationConfig())
             assert res.status == "converged"
             assert 1.0 < res.d[0] < 1.0 + 1e-3
             assert res.objective == pytest.approx(2.0 * eta, rel=1e-3)
@@ -242,7 +234,7 @@ class TestStopRule:
         monkeypatch.setattr(separation, "_barrier_factor", record)
         solve = self.SOLVES[mode][0]
         for seed in SEEDS:
-            solve(*seeded_case(seed))
+            solve(*seeded_case(seed)[:3])
         assert factors
         assert all(c is not None for c, _ in factors)
 
@@ -251,12 +243,12 @@ class TestStopRule:
         solve, reg = self.SOLVES[mode]
         converged = 0
         for seed in SEEDS:
-            inp, cfg = seeded_case(seed)
-            res = solve(inp, cfg)
+            B, eta, cfg, _ = seeded_case(seed)
+            res = solve(B, eta, cfg)
             if res.status != "converged" or res.iterations == 0:
                 continue
             converged += 1
-            gap = reg.logs_per_coordinate * inp.n * res.sigma
+            gap = reg.logs_per_coordinate * eta.size * res.sigma
             assert (res.sigma == _SIGMA_MIN
                     or gap <= _EPS_CHECK * max(1.0, abs(res.objective)))
         assert converged >= 5
@@ -266,10 +258,9 @@ class TestStopRule:
         # line search would go on accepting steps that move d by roundoff
         # only; such a step must end its sigma level.
         for seed in range(20, 27):
-            inp, _ = seeded_case(seed)
-            eta = 1e-10 * np.abs(np.random.default_rng(seed).normal(size=inp.n))
-            tiny = SeparationInput(Q=inp.Q, A=inp.A, alpha=inp.alpha, eta=eta)
-            res = solve_smooth(tiny, SeparationConfig(rho0=1e-4))
+            B, eta, _, _ = seeded_case(seed)
+            tiny = 1e-10 * np.abs(np.random.default_rng(seed).normal(size=eta.size))
+            res = solve_smooth(B, tiny, SeparationConfig(rho0=1e-4))
             assert res.status == "converged"
 
 
@@ -316,15 +307,16 @@ class TestPositivePartEpigraph:
 
 
 class TestInputValidation:
-    def test_eta_below_floor_rejected(self):
-        with pytest.raises(ValueError, match="eta"):
-            SeparationInput(Q=Q2, A=A2, alpha=1.0, eta=[-1e-6, 0.0])
+    # both solvers check their arguments in one prologue
+    SOLVES = [(solve_smooth, SeparationConfig(rho0=1e-4)),
+              (solve_nonsmooth, SeparationConfig())]
 
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError, match="alpha"):
-            SeparationInput(Q=Q2, A=A2, alpha=-1.0, eta=[0.1, 0.1])
+    def test_eta_below_floor_rejected(self):
+        for solve, cfg in self.SOLVES:
+            with pytest.raises(ValueError, match="eta"):
+                solve(B2, [-1e-6, 0.0], cfg)
 
     def test_asymmetric_q_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            SeparationInput(Q=[[0.0, 1.0], [0.0, 0.0]], A=A2, alpha=1.0,
-                            eta=[0.1, 0.1])
+        for solve, cfg in self.SOLVES:
+            with pytest.raises(ValueError, match="symmetric"):
+                solve([[0.0, 1.0], [0.0, 0.0]], [0.1, 0.1], cfg)

@@ -30,9 +30,8 @@ from quadrelax.separation import (
     _SIGMA_MIN,
     _SIGMA_UPDATE,
     SeparationConfig,
-    SeparationInput,
     SeparationResult,
-    _barrier_mu,
+    _barrier_start,
     sigma_init,
     solve_nonsmooth,
     solve_smooth,
@@ -213,14 +212,12 @@ def update_sigma(sigma, grad_norm, ref_norm):
     return sigma
 
 
-def reference_smooth(inp: SeparationInput, config: SeparationConfig,
+def reference_smooth(base, eta, config: SeparationConfig,
                      steps_per_var=STEPS_PER_VAR) -> SeparationResult:
     if config.rho0 is None or config.rho0 <= 0.0:
         raise ValueError("config.rho0 must be a positive regularization seed")
-    n = inp.n
-    eta = inp.eta
-    base = inp.barrier_base()
-    mu = _barrier_mu(base)
+    base, eta, mu, _ = _barrier_start(base, eta)
+    n = eta.size
     eta_norm = float(np.linalg.norm(eta))
     if eta_norm == 0.0:
         # exact relaxation point: every d separates equally, keep the seed
@@ -296,12 +293,10 @@ def _min_norm_subgradient(d, eta, beta, sigma, v_diag):
     return s
 
 
-def reference_nonsmooth(inp: SeparationInput, config: SeparationConfig,
+def reference_nonsmooth(base, eta, config: SeparationConfig,
                         steps_per_var=STEPS_PER_VAR) -> SeparationResult:
-    n = inp.n
-    eta = inp.eta
-    base = inp.barrier_base()
-    mu = _barrier_mu(base)
+    base, eta, mu, _ = _barrier_start(base, eta)
+    n = eta.size
     lam = float(eta.sum())
     d = np.full(n, 1.5 * mu)
     if lam <= 1e-14:
@@ -347,7 +342,8 @@ def reference_nonsmooth(inp: SeparationInput, config: SeparationConfig,
 
 
 def seeded_case(seed):
-    """Separation input and config drawn from one seed.
+    """Barrier matrix Q + alpha A'A, slacks, config and whether rows were
+    drawn, from one seed.
 
     Q is scaled over four decades, a third of the instances have no rows,
     some slacks are exactly zero, rho0 spans 1e-10..1e-2 (tiny values force
@@ -361,10 +357,10 @@ def seeded_case(seed):
     alpha = float(rng.uniform(0.5, 2.0)) if rows else 0.0
     eta = np.abs(rng.normal(size=n))
     eta[rng.random(n) < 0.3] = 0.0
-    inp = SeparationInput(Q=0.5 * (B + B.T), A=A, alpha=alpha, eta=eta)
+    base = 0.5 * (B + B.T) + alpha * (A.T @ A)
     cfg = SeparationConfig(rho0=float(10.0 ** rng.uniform(-10, -2)),
                            max_restarts=int(rng.integers(0, 4)))
-    return inp, cfg
+    return base, eta, cfg, bool(rows)
 
 
 # Seeds of ``seeded_case`` that between them take every path of the
@@ -399,8 +395,8 @@ def assert_bitwise_equal(new, ref):
     assert new.trace == ref.trace
 
 
-def assert_contract(mode, inp, cfg, new, ref):
-    barrier = inp.barrier_base() + np.diag(new.d)
+def assert_contract(mode, base, cfg, new, ref):
+    barrier = base + np.diag(new.d)
     assert linalg.cholesky_factor(barrier, lower=False) is not None
     if cfg.trace:
         assert len(new.trace) == new.iterations
@@ -417,13 +413,13 @@ def assert_contract(mode, inp, cfg, new, ref):
 @pytest.mark.parametrize("mode", ["smooth", "nonsmooth"])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_matches_reference(seed, mode, trace):
-    inp, cfg = seeded_case(seed)
+    base, eta, cfg, _ = seeded_case(seed)
     cfg.trace = trace
     solve, reference = SOLVERS[mode]
-    new, ref = solve(inp, cfg), reference(inp, cfg)
-    assert_contract(mode, inp, cfg, new, ref)
+    new, ref = solve(base, eta, cfg), reference(base, eta, cfg)
+    assert_contract(mode, base, cfg, new, ref)
     cfg.trace = not trace  # tracing must not change the run
-    other = solve(inp, cfg)
+    other = solve(base, eta, cfg)
     assert other.d.tobytes() == new.d.tobytes()
     assert (other.iterations, other.status) == (new.iterations, new.status)
 
@@ -431,41 +427,41 @@ def test_matches_reference(seed, mode, trace):
 @pytest.mark.parametrize("mode", ["smooth", "nonsmooth"])
 @pytest.mark.parametrize("seed", [4, 10])
 def test_iteration_budget_matches_reference(seed, mode):
-    inp, cfg = seeded_case(seed)
+    base, eta, cfg, _ = seeded_case(seed)
     cfg.max_steps = 2
     cfg.trace = True
     solve, reference = SOLVERS[mode]
-    new = solve(inp, cfg)
+    new = solve(base, eta, cfg)
     assert new.status == "max_iter"
     # the cap counts Newton steps per round; nonsmooth runs one round
     assert new.iterations <= 2 * (new.restarts + 1)
-    assert_contract(mode, inp, cfg, new, reference(inp, cfg, steps_per_var=2))
+    assert_contract(mode, base, cfg, new,
+                    reference(base, eta, cfg, steps_per_var=2))
 
 
 @pytest.mark.parametrize("trace", [False, True])
 @pytest.mark.parametrize("mode", ["smooth", "nonsmooth"])
 def test_zero_slack_matches_reference(mode, trace):
-    inp, cfg = seeded_case(4)
-    inp = SeparationInput(Q=inp.Q, A=inp.A, alpha=inp.alpha,
-                          eta=np.zeros(inp.n))
+    base, eta, cfg, _ = seeded_case(4)
+    eta = np.zeros(eta.size)
     cfg.trace = trace
     solve, reference = SOLVERS[mode]
-    new = solve(inp, cfg)
+    new = solve(base, eta, cfg)
     assert new.iterations == 0
-    assert_bitwise_equal(new, reference(inp, cfg))
+    assert_bitwise_equal(new, reference(base, eta, cfg))
 
 
 def test_seeds_cover_every_path():
     seen = set()
     for seed in SEEDS:
-        inp, cfg = seeded_case(seed)
-        if inp.A.shape[0] and inp.alpha > 0.0:
+        base, eta, cfg, rows = seeded_case(seed)
+        if rows:
             seen.add("rows")
-        res = solve_smooth(inp, cfg)
+        res = solve_smooth(base, eta, cfg)
         seen.add(res.status)
         if res.restarts and res.status == "converged":
             seen.add("restarted")
-        if solve_nonsmooth(inp, cfg).d.min() < 0.0:
+        if solve_nonsmooth(base, eta, cfg).d.min() < 0.0:
             seen.add("negative")
     assert {"rows", "converged", "max_iter", "restart_limit", "restarted",
             "negative"} <= seen
