@@ -46,9 +46,6 @@ __all__ = [
     "solve",
 ]
 
-# IPM overrides for the one tightened retry after a failed certification
-_RETRY_OPTS = {"max_iter": 400, "tol_gap": 1e-13, "tol_feas": 1e-12}
-
 # separation at nodes runs on a reduced budget; one adequate cut is all a
 # node gets to use.  On the first passes of the benchmark's seeds 777-779,
 # node rounds take a median of 28 Newton steps (p99 83) and 1 of 1,699
@@ -134,15 +131,11 @@ class SolveReport:
 
 
 def _solve_child(instance, d, bounds, red=None):
-    """QP child with one tightened retry; None when uncertified twice."""
+    """QP child; None when it misses KKT certification."""
     try:
         return solve_qp_child(instance, d, bounds, red=red)
     except SolveFailure:
-        try:
-            return solve_qp_child(instance, d, bounds, ipm_opts=_RETRY_OPTS,
-                                  red=red)
-        except SolveFailure:
-            return None
+        return None
 
 
 def _fold_slice(instance, node, red) -> NodeBound | None:
@@ -194,8 +187,8 @@ def bound_node(instance: MiqpInstance, node: Node, alpha: float,
     the convexity gate its eigenvalue, once.
 
     Raises InfeasibleRelaxation when the slice is empty.  A node whose
-    QP misses KKT certification twice keeps the inherited bound
-    (certified=False, no solution).
+    QP misses KKT certification keeps the inherited bound (certified=False,
+    no solution).
     """
     red = ReducedProblem.build(instance, node.lower, node.upper,
                                structures=structures)

@@ -12,11 +12,15 @@ quadratic row is a QuadConstraint; the rank-one rows are one SquareBlock
 (S, s, F, f), evaluated with two matrix products; the linear rows are one
 matrix block (G, h).  Multipliers come back in that order: quadratic rows
 first, then the square block, then the rows of G.  A Mehrotra
-predictor-corrector scheme with an infeasible start; the Newton systems
-eliminate the slack and multiplier blocks down to a single symmetric
-positive definite solve per iteration, factored by ``linalg``'s Cholesky
-pair.  Non-optimal exits return the best iterate seen, so callers can still
-certify it against their own residual thresholds.
+predictor-corrector scheme with an infeasible start, s = max(1, |g(z0)| + 0.1);
+with linear rows only, lam = max(1, mu0 / s) for mu0 = max(1, |P0 z0 + c0|_inf)
+centres every s_i lam_i near mu0 (from lam = 1, node QPs spent iterations
+re-balancing and some fell into a limit cycle).  Curved rows keep lam = 1,
+which certifies epigraph QCPs that the centred start leaves uncertified.
+The Newton systems eliminate the slack and multiplier blocks down to a
+single symmetric positive definite solve per iteration, factored by
+``linalg``'s Cholesky pair.  Non-optimal exits return the best iterate seen,
+so callers can still certify it against their own residual thresholds.
 """
 
 from __future__ import annotations
@@ -204,6 +208,10 @@ def solve_qcqp(P0, c0, r0, constraints, G=None, h=None, squares=None, z0=None,
     sl = np.ones(2 * p)
     sl[:p] = np.maximum(1.0, np.abs(_eval_rows(cons, sq, G, h, z, J)) + 0.1)
     s, lam = sl[:p], sl[p:]
+    if linear:
+        # centred start: every s_i lam_i begins near the dual residual's size
+        mu0 = max(1.0, float(np.abs(P0 @ z + c0).max(initial=0.0)))
+        lam[:] = np.maximum(1.0, mu0 / s)
     r_d, r_p, rd_norm, rp_norm, mu = residuals(z, s, lam)
 
     obj_scale = max(1.0, np.abs(c0).max(initial=0.0), np.abs(P0).max(initial=0.0))

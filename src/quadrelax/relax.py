@@ -494,15 +494,14 @@ def _all_fixed_solution(red: ReducedProblem) -> RelaxationSolution:
 
 
 def solve_qp_child(instance: MiqpInstance, d, node_bounds,
-                   ipm_opts=None, red=None) -> RelaxationSolution:
+                   red=None) -> RelaxationSolution:
     """Bound min x^T (Q + diag d) x + q^T x - d^T y over the node's hulls.
 
     y is eliminated coordinatewise: the secant u_i when d_i >= 0 or the
     hull is two-point/binary (l = u there), and x_i**2 otherwise, which
     cancels the d_i term.  The result is a box-and-equality QP on the
-    nullspace, convex whenever d is certified for the parent space.
-    ipm_opts, if given, overrides interior-point keyword defaults; red may
-    carry a reduction already built for these exact node bounds.
+    nullspace, convex whenever d is certified for the parent space.  red
+    may carry a reduction already built for these exact node bounds.
 
     Raises InfeasibleRelaxation for empty nodes and SolveFailure when the
     subproblem solve misses KKT certification.
@@ -536,8 +535,7 @@ def solve_qp_child(instance: MiqpInstance, d, node_bounds,
         G, h = _box_rows(red, Z.shape[1])
         mid = 0.5 * (red.lower + red.upper)
         z0 = Z.T @ (mid - red.x_hat)
-        result = qcqp.solve_qcqp(P0, c0, r0, [], G, h, z0=z0,
-                                 **(ipm_opts or {}))
+        result = qcqp.solve_qcqp(P0, c0, r0, [], G, h, z0=z0)
         _require_kkt(result, c0)
         x_f = red.x_hat + Z @ result.z
         value = result.obj

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from quadrelax import bnb
 from quadrelax.bnb import (
     BnbConfig,
     Node,
@@ -23,6 +24,7 @@ from quadrelax.model import (
 from quadrelax.relax import (
     InfeasibleRelaxation,
     RelaxationSolution,
+    SolveFailure,
     select_alpha,
 )
 
@@ -177,11 +179,19 @@ class TestOracleAgreement:
 
 
 class TestUncertifiedRoot:
-    def test_search_continues_to_oracle_optimum(self):
-        # the root cut loop fails certification here; an infinite lower
-        # bound must not close the gap before any incumbent exists
+    def test_search_continues_to_oracle_optimum(self, monkeypatch):
+        # an uncertified root cut loop leaves an infinite lower bound, which
+        # must not close the gap before any incumbent exists
         inst = generate_instance("eq_integer", 5, 0.8, 101003)
-        rep = solve(inst, BnbConfig(max_nc=3, node_limit=150))
+        cfg = BnbConfig(max_nc=3, node_limit=150)
+        # unpatched, the root certifies; the failure below is forced
+        assert np.isfinite(solve(inst, cfg).root_bound)
+
+        def uncertified(*args, **kwargs):
+            raise SolveFailure("forced")
+
+        monkeypatch.setattr(bnb, "cutting_surface", uncertified)
+        rep = solve(inst, cfg)
         opt = brute_force_oracle(inst)
         assert rep.root_bound is None
         assert rep.status == "optimal"

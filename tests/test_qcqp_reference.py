@@ -1,14 +1,15 @@
 """The interior-point solver against a verbatim copy of its earlier form.
 
-``reference_solve_qcqp`` factors through ``scipy.linalg.cho_factor`` and
-``cho_solve``, evaluates every row again at the top of each iteration,
-takes two fraction-to-boundary tests, and knows no square block: the lower
-hulls reach it as dense rank-one QuadConstraints.  ``qcqp.solve_qcqp``
-calls LAPACK's Cholesky pair directly and carries the residuals of the
-accepted step into the next iteration with the same floating-point
-operations, so without a square block every result field must match bit
-for bit.  The square block changes the order of sums, so with one the
-results agree within tolerances fixed beforehand.
+The copy has one later edit, the centred multiplier start for linear rows
+only, so that both solvers start alike.  ``reference_solve_qcqp`` factors
+through ``scipy.linalg.cho_factor`` and ``cho_solve``, evaluates every row
+again at the top of each iteration, takes two fraction-to-boundary tests,
+and knows no square block: the lower hulls reach it as dense rank-one
+QuadConstraints.  ``qcqp.solve_qcqp`` calls LAPACK's Cholesky pair directly
+and carries the residuals of the accepted step into the next iteration with
+the same floating-point operations, so without a square block every result
+field must match bit for bit.  The square block changes the order of sums,
+so with one the results agree within tolerances fixed beforehand.
 """
 
 from unittest import mock
@@ -16,6 +17,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from quadrelax import bnb, qcqp, relax
 from quadrelax.cli import generate_instance
@@ -23,7 +25,7 @@ from quadrelax.qcqp import IpmResult, QuadConstraint, SquareBlock, solve_qcqp
 
 
 # ---------------------------------------------------------------------------
-# reference: the earlier solver, verbatim but for its name
+# reference: the earlier solver, verbatim but for its name and its start
 
 
 def _eval_constraints(cons, G, h, z):
@@ -126,6 +128,9 @@ def reference_solve_qcqp(P0, c0, r0, constraints, G=None, h=None, z0=None,
     g, J = _eval_constraints(cons, G, h, z)
     s = np.maximum(1.0, np.abs(g) + 0.1)
     lam = np.ones(p)
+    if not cons:
+        mu0 = max(1.0, float(np.abs(P0 @ z + c0).max(initial=0.0)))
+        lam = np.maximum(1.0, mu0 / s)
 
     obj_scale = max(1.0, np.abs(c0).max(initial=0.0), np.abs(P0).max(initial=0.0))
     row_scale = max(1.0, *(abs(c.r) + np.abs(c.a).max(initial=0.0) for c in cons),
@@ -341,12 +346,40 @@ def node_qp_calls(family, n, seed):
     return calls
 
 
-def spectral_stall_calls():
-    """The spectral QP of eq_integer n=20 seed 32200, a known IPM stall."""
-    inst = generate_instance("eq_integer", 20, 0.8, 32200)
-    mu = max(0.0, relax.select_alpha(inst).mu)
-    return captured_calls(lambda: pytest.raises(
-        relax.SolveFailure, relax.solve_eigenvalue_relaxation, inst, mu))
+# eq_integer solves that stalled in the predictor-corrector's limit cycle
+# while the linear-row iteration started every multiplier at 1: the initial
+# spectral QP of the root cut loop (seed: n) and the eigenvalue relaxation
+# at mu = max(0, select_alpha mu)
+ROOT_STALLS = {5005: 5, 8202: 10, 17009: 5, 22105: 8, 28200: 10, 30107: 8,
+               32100: 8, 33108: 8, 37200: 10, 101003: 5, 301106: 8,
+               310000: 5, 310108: 8}
+SPECTRAL_STALLS = {32200: 20, 306501: 30}
+
+
+def stall_call(seed):
+    """The one interior-point call of a listed stall."""
+    if seed in SPECTRAL_STALLS:
+        inst = generate_instance("eq_integer", SPECTRAL_STALLS[seed], 0.8, seed)
+        mu = max(0.0, relax.select_alpha(inst).mu)
+        (call,) = captured_calls(
+            lambda: relax.solve_eigenvalue_relaxation(inst, mu))
+    else:
+        inst = generate_instance("eq_integer", ROOT_STALLS[seed], 0.8, seed)
+        d0 = relax.initial_perturbation(inst, relax.select_alpha(inst).alpha)
+        (call,) = captured_calls(
+            lambda: relax.solve_qp_child(inst, d0, (inst.lower, inst.upper)))
+    return call
+
+
+def slsqp_value(P0, c0, r0, cons, G, h, z0=None):
+    """min 1/2 z'P0 z + c0'z + r0 s.t. G z + h <= 0, by SLSQP; (value, z)."""
+    assert not cons
+    res = scipy.optimize.minimize(
+        lambda z: 0.5 * z @ P0 @ z + c0 @ z + r0, z0, jac=lambda z: P0 @ z + c0,
+        constraints=[{"type": "ineq", "fun": lambda z: -(G @ z + h),
+                      "jac": lambda z: -G}],
+        method="SLSQP", options={"ftol": 1e-10, "maxiter": 1000})
+    return float(res.fun), res.x
 
 
 def dense_rows(sq):
@@ -433,11 +466,24 @@ def test_node_qps_match_reference(family, n, seed):
                              reference_solve_qcqp(*args, **kwargs))
 
 
-def test_spectral_stall_matches_reference():
-    (args, kwargs), = spectral_stall_calls()
+def test_node_qp_iterations():
+    # from lam = 1, these 28 solves took 10.2 iterations on average
+    calls = node_qp_calls("eq_integer", 8, 5)
+    results = [solve_qcqp(*args, **kwargs) for args, kwargs in calls]
+    assert {r.status for r in results} == {"optimal"}
+    assert np.mean([r.iterations for r in results]) < 9.0
+
+
+@pytest.mark.parametrize("seed", sorted(ROOT_STALLS) + sorted(SPECTRAL_STALLS))
+def test_known_stalls_certify(seed):
+    args, kwargs = stall_call(seed)
     new = solve_qcqp(*args, **kwargs)
-    assert new.status == "stalled"
+    assert new.status == "optimal"
     assert_bitwise_equal(new, reference_solve_qcqp(*args, **kwargs))
+    value, z = slsqp_value(*args, **kwargs)
+    G, h = args[4], args[5]
+    assert (G @ z + h).max() <= 1e-6
+    assert abs(new.obj - value) <= 1e-6 * abs(value)
 
 
 @pytest.mark.parametrize("family, n, seed", [("boxqp", 12, 3),
