@@ -139,7 +139,10 @@ def _solve_child(instance, d, bounds, red=None):
 
 
 def _fold_slice(instance, node, red) -> NodeBound | None:
-    """Enumerate a small all-discrete slice exactly; None when too big."""
+    """Enumerate a small all-discrete slice exactly; None when too big.
+
+    An all-fixed slice is the one combination of no free variables.
+    """
     lists = []
     total = 1
     for k, i in enumerate(red.free):
@@ -159,11 +162,8 @@ def _fold_slice(instance, node, red) -> NodeBound | None:
             raise InfeasibleRelaxation("no admissible point in the slice")
     vals = np.einsum("ij,jk,ik->i", X, red.Qr, X) + X @ red.qr + red.const
     k = int(np.argmin(vals))
-    x = red.expand_x(X[k])
     value = float(vals[k])
-    sol = RelaxationSolution(x=x, y=x ** 2, value=value,
-                             v=value - float(instance.q @ x),
-                             quad_value=float(x @ instance.Q @ x))
+    sol = red.solution(X[k], X[k] ** 2, value)
     return NodeBound(value, node.d, sol, convex=True, exact=True)
 
 
@@ -173,8 +173,9 @@ def bound_node(instance: MiqpInstance, node: Node, alpha: float,
     """Bound one node: inherited-d QP, then a conditional separation pass.
 
     Slices with at most 512 remaining discrete combinations are enumerated
-    exactly.  Convex slices (reduced Q PSD on the reduced nullspace) skip
-    the perturbation machinery and solve the plain continuous relaxation.
+    exactly, all-fixed slices included.  Convex slices (reduced Q PSD on
+    the reduced nullspace) skip the perturbation machinery and solve the
+    plain continuous relaxation.
     Otherwise the first QP uses the inherited d; one smooth separation
     round (``relax.next_cut``, on a reduced budget) then proposes d_new,
     and a second QP is solved only if the new cut is violated at the first
@@ -193,10 +194,6 @@ def bound_node(instance: MiqpInstance, node: Node, alpha: float,
     red = ReducedProblem.build(instance, node.lower, node.upper,
                                structures=structures)
     bounds = (node.lower, node.upper)
-    if red.n_free == 0:
-        sol = solve_qp_child(instance, node.d, bounds, red=red)
-        return NodeBound(sol.value, node.d, sol, convex=True, exact=True)
-
     folded = _fold_slice(instance, node, red)
     if folded is not None:
         return folded
@@ -360,8 +357,8 @@ def solve(instance: MiqpInstance, config: BnbConfig | None = None) -> SolveRepor
     separate = False
 
     sel = select_alpha(instance)
-    d0 = initial_perturbation(instance, sel.alpha)
     try:
+        d0 = initial_perturbation(instance, sel.alpha)
         if d0 is None:
             root_sol = solve_qp_child(instance, np.zeros(n),
                                       (instance.lower, instance.upper))

@@ -5,8 +5,9 @@ u_i}:
 
 * a single uniform perturbation d = mu * ones gives the spectral (QP)
   relaxation, solvable after eliminating y;
-* a pool of perturbations d, each certified convex on the nullspace of A,
-  gives the epigraph QCP  min v + q^T x,  v >= x^T (Q + diag d) x - d^T y;
+* a pool of perturbations d, each certified convex on the nullspace of the
+  root reduction's rows, gives the epigraph QCP  min v + q^T x,  v >=
+  x^T (Q + diag d) x - d^T y;
 * the cutting-surface loop starts from the spectral QP's solution (the
   one-cut QCP over d = mu * ones, since mu > 0 puts every y on its
   secant) and alternates separation rounds with QCP solves; each round
@@ -19,7 +20,10 @@ bound.
 
 ``ReducedProblem`` restricts the instance to a node: it eliminates fixed
 variables and dependent rows and raises ``InfeasibleRelaxation`` for an
-empty node.  What depends on the free set alone is one read-only
+empty node.  The root is the reduction at the instance's own bounds, so
+the root gate, the cut pool and every node ask one question on one space:
+is ``Z^T (Qr + diag d) Z`` positive semidefinite, for the nullspace basis Z
+of the reduced rows.  What depends on the free set alone is one read-only
 ``FreeSetStructure``, which a caller's ``structures`` dict shares across
 the nodes of a search.  Whether the node box meets {Ax = b} is decided by a
 projected-midpoint witness and then exactly by ``linalg.box_rows_disjoint``,
@@ -120,35 +124,6 @@ class AlphaSelection:
 
 
 @dataclass
-class CutPool:
-    """Finite set of certified diagonal perturbations plus last multipliers.
-
-    Each stored cut keeps the projected matrix Z^T (Q + diag d) Z above
-    -1e-6, which is the operative convexity requirement for the assembled
-    QCP.  ``multipliers`` are the per-cut values from the last certified
-    relaxation solve (None until the cut loop sets them).
-    """
-
-    Q: np.ndarray
-    basis: NullspaceBasis
-    cuts: list = field(default_factory=list)
-    multipliers: np.ndarray | None = None
-
-    def add(self, d) -> None:
-        d = np.asarray(d, dtype=float).reshape(-1)
-        if d.shape[0] != self.Q.shape[0]:
-            raise ValueError(f"cut length {d.shape[0]} != n={self.Q.shape[0]}")
-        lam = projected_min_eigenvalue(self.Q + np.diag(d), self.basis)
-        if lam < -_POOL_TOL:
-            raise ValueError(f"cut fails the convexity certificate ({lam:.3e})")
-        self.cuts.append(d)
-        self.multipliers = None  # stale after a pool change
-
-    def __len__(self) -> int:
-        return len(self.cuts)
-
-
-@dataclass
 class RelaxationSolution:
     """KKT-certified solution of one convex relaxation, in full variables.
 
@@ -165,17 +140,6 @@ class RelaxationSolution:
     quad_value: float = 0.0
     cut_multipliers: np.ndarray | None = None
     kkt_residual: float = 0.0
-
-    def feasibility_error(self, inst: MiqpInstance) -> float:
-        """Max violation of Ax=b, box, and hull membership (for tests)."""
-        err = 0.0
-        if inst.m:
-            err = float(np.abs(inst.A @ self.x - inst.b).max())
-        for dom, x, y in zip(inst.domains, self.x, self.y):
-            u = (dom.L + dom.U) * x - dom.L * dom.U
-            lo = u if dom.two_point else x ** 2
-            err = max(err, dom.L - x, x - dom.U, y - u, lo - y)
-        return float(err)
 
 
 def select_alpha(instance: MiqpInstance) -> AlphaSelection:
@@ -211,23 +175,27 @@ def select_alpha(instance: MiqpInstance) -> AlphaSelection:
 def initial_perturbation(instance: MiqpInstance, alpha: float):
     """Uniform seed perturbation d0 = mu * ones, or None when unneeded.
 
-    mu is -lambda_min(Q) without equality rows, else
-    -lambda_min(Q, I + alpha A^T A).  Returns None when the relevant
-    restriction of Q is already positive semidefinite (the caller should
-    solve the continuous convex relaxation directly).
+    The gate is the root reduction's ``FreeSetStructure.convex``: None when
+    Q on the free variables is already positive semidefinite on the
+    nullspace of the reduced rows (the caller should solve the continuous
+    convex relaxation directly).  Otherwise mu is -lambda_min of that
+    projected matrix without equality rows, else -lambda_min(Q, I + alpha
+    A^T A).  Raises InfeasibleRelaxation when the root is empty.
     """
-    scale = max(1.0, float(np.abs(instance.Q).max(initial=0.0)))
-    if instance.m == 0:
-        lam = min_eigenvalue(instance.Q)
-        if lam >= -_GATE_TOL * scale:
-            return None
-        return np.full(instance.n, -lam)
-    basis = nullspace_basis(instance.A, instance.n)
-    if projected_min_eigenvalue(instance.Q, basis) >= -_GATE_TOL * scale:
+    return _seed(ReducedProblem.build(instance, instance.lower,
+                                      instance.upper), alpha)
+
+
+def _seed(red: ReducedProblem, alpha: float):
+    """``initial_perturbation`` on the root reduction red."""
+    inst, structure = red.inst, red.structure
+    if structure.convex:
         return None
+    if inst.m == 0:
+        return np.full(inst.n, -structure.nullspace_min_eigenvalue)
     mu = -min_generalized_eigenvalue(
-        instance.Q, np.eye(instance.n) + alpha * (instance.A.T @ instance.A))
-    return np.full(instance.n, mu)
+        inst.Q, np.eye(inst.n) + alpha * (inst.A.T @ inst.A))
+    return np.full(inst.n, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -463,30 +431,34 @@ class ReducedProblem:
 
     def expand_x(self, x_free) -> np.ndarray:
         x = np.empty(self.inst.n)
-        if self.free.size:
-            x[self.free] = x_free
-        if self.fixed.size:
-            x[self.fixed] = self.fixed_values
+        x[self.free] = x_free
+        x[self.fixed] = self.fixed_values
         return x
-
-    def expand_y(self, y_free) -> np.ndarray:
-        y = np.empty(self.inst.n)
-        if self.free.size:
-            y[self.free] = y_free
-        if self.fixed.size:
-            y[self.fixed] = self.fixed_values ** 2
-        return y
 
     def restrict(self, d) -> np.ndarray:
         return np.asarray(d, dtype=float).reshape(-1)[self.free]
 
+    def solution(self, x_f, y_f, value=None, *, v=None, cut_multipliers=None,
+                 kkt_residual=0.0) -> RelaxationSolution:
+        """The full-space relaxation point of the reduced point (x_f, y_f).
 
-def _all_fixed_solution(red: ReducedProblem) -> RelaxationSolution:
-    x = red.expand_x(np.zeros(0))
-    y = red.expand_y(np.zeros(0))
-    quad = float(x @ red.inst.Q @ x)
-    return RelaxationSolution(x=x, y=y, value=quad + float(red.inst.q @ x),
-                              v=quad, quad_value=quad)
+        Fixed variables get y = x**2, and y_f is raised to x_f**2: IPM
+        roundoff can leave x a hair outside its box, where a secant dips
+        below the parabola.  value and v differ by q^T x; pass one and the
+        other follows.
+        """
+        x = self.expand_x(x_f)
+        y = x ** 2
+        y[self.free] = np.maximum(y_f, y[self.free])
+        qx = float(self.inst.q @ x)
+        if v is None:
+            v = value - qx
+        else:
+            value = float(v + qx)
+        return RelaxationSolution(x=x, y=y, value=value, v=v,
+                                  quad_value=float(x @ self.inst.Q @ x),
+                                  cut_multipliers=cut_multipliers,
+                                  kkt_residual=kkt_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -509,49 +481,28 @@ def solve_qp_child(instance: MiqpInstance, d, node_bounds,
     if red is None:
         red = ReducedProblem.build(instance, *node_bounds)
     d_f = red.restrict(d)
-    if red.n_free == 0:
-        return _all_fixed_solution(red)
-
     slope, intercept = red.hull_coeffs()
     square = red.square_mask()
     use_u = (d_f >= 0.0) | ~square
-    dhat = np.where(use_u, d_f, 0.0)
-
-    H = red.Qr + np.diag(dhat)
+    H = red.Qr + np.diag(np.where(use_u, d_f, 0.0))
     lin = red.qr - np.where(use_u, d_f * slope, 0.0)
     const = red.const - float(np.sum(np.where(use_u, d_f * intercept, 0.0)))
 
+    # with every coordinate fixed or pinned, Z has no columns and the IPM
+    # returns r0, the value at x_hat, the node's one point
     Z = red.basis.Z
-    if Z.shape[1] == 0:
-        # every coordinate is pinned: x_hat is the node's one point, which
-        # the build found in the box to tolerance
-        x_f = red.x_hat
-        value = float(x_f @ H @ x_f + lin @ x_f) + const
-        result = None
-    else:
-        P0 = 2.0 * (Z.T @ H @ Z)
-        c0 = Z.T @ (2.0 * (H @ red.x_hat) + lin)
-        r0 = float(red.x_hat @ H @ red.x_hat + lin @ red.x_hat) + const
-        G, h = _box_rows(red, Z.shape[1])
-        mid = 0.5 * (red.lower + red.upper)
-        z0 = Z.T @ (mid - red.x_hat)
-        result = qcqp.solve_qcqp(P0, c0, r0, [], G, h, z0=z0)
-        _require_kkt(result, c0)
-        x_f = red.x_hat + Z @ result.z
-        value = result.obj
-
-    # same roundoff guard as the epigraph path: x can sit ~1e-10 outside
-    # the box, where the secant dips below the parabola
-    y_f = np.maximum(np.where(use_u, slope * x_f + intercept, x_f ** 2),
-                     x_f ** 2)
-    x = red.expand_x(x_f)
-    y = red.expand_y(y_f)
-    quad = float(x @ instance.Q @ x)
-    return RelaxationSolution(
-        x=x, y=y, value=value, v=value - float(instance.q @ x),
-        quad_value=quad,
-        kkt_residual=0.0 if result is None else max(result.r_dual,
-                                                    result.r_primal))
+    P0 = 2.0 * (Z.T @ H @ Z)
+    c0 = Z.T @ (2.0 * (H @ red.x_hat) + lin)
+    r0 = float(red.x_hat @ H @ red.x_hat + lin @ red.x_hat) + const
+    G, h = _box_rows(red, Z.shape[1])
+    mid = 0.5 * (red.lower + red.upper)
+    z0 = Z.T @ (mid - red.x_hat)
+    result = qcqp.solve_qcqp(P0, c0, r0, [], G, h, z0=z0)
+    _require_kkt(result, c0)
+    x_f = red.x_hat + Z @ result.z
+    y_f = np.where(use_u, slope * x_f + intercept, x_f ** 2)
+    return red.solution(x_f, y_f, result.obj,
+                        kkt_residual=max(result.r_dual, result.r_primal))
 
 
 def solve_eigenvalue_relaxation(instance: MiqpInstance, mu: float) -> RelaxationSolution:
@@ -598,6 +549,38 @@ def _require_kkt(result: qcqp.IpmResult, c0) -> None:
 
 
 @dataclass
+class CutPool:
+    """Finite set of certified diagonal perturbations plus last multipliers.
+
+    red is the root reduction the pool lives on.  Each stored cut d (full
+    length n) keeps Z^T (Qr + diag d_free) Z above -1e-6, for the nullspace
+    basis Z of the reduced rows: the matrix the assembled QCP relies on.
+    ``multipliers`` are the per-cut values from the last certified
+    relaxation solve (None until the cut loop sets them).
+    """
+
+    red: ReducedProblem
+    cuts: list = field(default_factory=list)
+    multipliers: np.ndarray | None = None
+
+    def add(self, d) -> None:
+        d = np.asarray(d, dtype=float).reshape(-1)
+        red = self.red
+        if d.shape[0] != red.inst.n:
+            raise ValueError(f"cut length {d.shape[0]} != n={red.inst.n}")
+        lam = projected_min_eigenvalue(red.Qr + np.diag(red.restrict(d)),
+                                       red.basis)
+        if lam < -_POOL_TOL:
+            raise ValueError(
+                f"cut fails the convexity certificate ({lam:.3e})")
+        self.cuts.append(d)
+        self.multipliers = None  # stale after a pool change
+
+    def __len__(self) -> int:
+        return len(self.cuts)
+
+
+@dataclass
 class QcpModel:
     """Assembled epigraph model over nullspace coordinates.
 
@@ -620,22 +603,17 @@ class QcpModel:
     z0: np.ndarray
 
 
-def assemble_qcp(instance: MiqpInstance, cut_pool: CutPool,
-                 red: ReducedProblem | None = None) -> QcpModel:
+def assemble_qcp(cut_pool: CutPool) -> QcpModel:
     """Build the epigraph relaxation of a certified cut pool.
 
     min v + q^T x  s.t.  v >= x^T (Q + diag d) x - d^T y for each pool d,
-    x = x_hat + Z x_z, hull rows for y, box rows for x.  y variables of
-    binary/two-point coordinates are eliminated through their (equal)
-    hulls.  red may carry the root reduction already built; otherwise it
-    is built here.
+    x = x_hat + Z x_z over the pool's root reduction, hull rows for y, box
+    rows for x.  y variables of binary/two-point coordinates are eliminated
+    through their (equal) hulls.
     """
     if len(cut_pool) == 0:
         raise ValueError("cut pool is empty")
-    if red is None:
-        red = ReducedProblem.build(instance, instance.lower, instance.upper)
-    if red.n_free == 0:
-        raise InfeasibleRelaxation("no free variables; relaxation is a point")
+    red = cut_pool.red
     Z = red.basis.Z
     k = Z.shape[1]
     slope, intercept = red.hull_coeffs()
@@ -647,7 +625,7 @@ def assemble_qcp(instance: MiqpInstance, cut_pool: CutPool,
 
     # objective: v + q_free^T x + const (cross terms with fixed variables
     # live inside the cut rows, not the objective)
-    q_f = instance.q[red.free]
+    q_f = red.inst.q[red.free]
     c0 = np.zeros(nz)
     c0[:k] = Z.T @ q_f
     c0[iv] = 1.0
@@ -722,20 +700,11 @@ def solve_qcp(model: QcpModel) -> RelaxationSolution:
     slope, intercept = red.hull_coeffs()
     y_f = slope * x_f + intercept
     y_f[model.sq_idx] = result.z[k:-1]
-    # keep y_f >= x_f**2 exact against roundoff: binary and two-point
-    # coordinates sit on the secant, which dips below the parabola when x
-    # lands a hair outside its box
-    y_f = np.maximum(y_f, x_f ** 2)
     # cut rows carry the fixed-block quadratic offset, so z[-1] is already
     # the full-space epigraph value
-    v = float(result.z[-1])
-    x = red.expand_x(x_f)
-    y = red.expand_y(y_f)
-    quad = float(x @ red.inst.Q @ x)
-    nu = np.maximum(result.lam[:len(model.constraints)], 0.0)
-    return RelaxationSolution(
-        x=x, y=y, value=float(v + red.inst.q @ x), v=v, quad_value=quad,
-        cut_multipliers=nu,
+    return red.solution(
+        x_f, y_f, v=float(result.z[-1]),
+        cut_multipliers=np.maximum(result.lam[:len(model.constraints)], 0.0),
         kkt_residual=max(result.r_dual, result.r_primal))
 
 
@@ -830,12 +799,12 @@ def cutting_surface(instance: MiqpInstance, alpha: float, max_cuts: int = 20,
     """
     if mode not in ("smooth", "nonsmooth"):
         raise ValueError(f"unknown separation mode {mode!r}")
-    d0 = initial_perturbation(instance, alpha)
+    red = ReducedProblem.build(instance, instance.lower, instance.upper)
+    d0 = _seed(red, alpha)
     if d0 is None:
         raise ValueError("instance is convex on the nullspace; "
                          "solve the continuous relaxation instead")
-    red = ReducedProblem.build(instance, instance.lower, instance.upper)
-    pool = CutPool(Q=instance.Q, basis=nullspace_basis(instance.A, instance.n))
+    pool = CutPool(red)
     pool.add(d0)
     sol = solve_qp_child(instance, d0, (instance.lower, instance.upper),
                          red=red)
@@ -848,7 +817,7 @@ def cutting_surface(instance: MiqpInstance, alpha: float, max_cuts: int = 20,
             break
         pool.add(d_new)
         try:
-            sol = solve_qcp(assemble_qcp(instance, pool, red))
+            sol = solve_qcp(assemble_qcp(pool))
         except SolveFailure:
             warnings.warn("epigraph re-solve not certified; stopping "
                           "with the best prior bound")

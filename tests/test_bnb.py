@@ -14,18 +14,20 @@ from quadrelax.bnb import (
     brute_force_oracle,
     solve,
 )
-from quadrelax.cli import generate_instance
+from quadrelax.cli import generate_instance, main
 from quadrelax.model import (
     MiqpInstance,
     VariableDomain,
     evaluate_objective,
     is_feasible,
+    save_instance,
 )
 from quadrelax.relax import (
     InfeasibleRelaxation,
     RelaxationSolution,
     SolveFailure,
     select_alpha,
+    solve_qp_child,
 )
 
 
@@ -178,6 +180,62 @@ class TestOracleAgreement:
         assert rep.lower_bound <= rep.upper_bound + 1e-9
 
 
+def with_point_domain(inst, dom, b=None):
+    """inst with domain 0 replaced by dom (and b, when given)."""
+    doms = list(inst.domains)
+    doms[0] = dom
+    return make(inst.Q, inst.q, inst.A, inst.b if b is None else b, doms)
+
+
+def pinned_boxqp():
+    # the point domain keeps Q nonconvex only off the free variables' space:
+    # the root cut pool must be certified on the root reduction
+    return with_point_domain(generate_instance("boxqp", 3, 0.8, 7),
+                             VariableDomain("interval", 1.0, 1.0))
+
+
+class TestPointDomains:
+    # a domain with L == U fixes its variable at the root; the root gate and
+    # the cut pool decide convexity on the reduced space, as every node does
+
+    def test_root_cuts_on_the_reduction(self):
+        inst = pinned_boxqp()
+        rep = solve(inst)
+        assert rep.status == "optimal"
+        assert rep.root_cuts == 1
+        assert rep.upper_bound == pytest.approx(-20.970816, abs=1e-6)
+        assert rep.upper_bound == pytest.approx(brute_force_oracle(inst),
+                                                abs=1e-6)
+        assert rep.lower_bound <= rep.upper_bound
+
+    def test_root_convex_on_the_reduction(self):
+        inst = with_point_domain(generate_instance("boxqp", 2, 0.8, 3),
+                                 VariableDomain("interval", 0.0, 0.0))
+        rep = solve(inst)
+        assert rep.status == "optimal"
+        assert rep.root_cuts == 0
+        assert rep.upper_bound == pytest.approx(-0.384293, abs=1e-6)
+        assert rep.upper_bound == pytest.approx(brute_force_oracle(inst),
+                                                abs=1e-6)
+
+    def test_fixed_integer_with_rows(self):
+        base = generate_instance("eq_integer", 6, 0.8, 1)
+        inst = with_point_domain(base,
+                                 VariableDomain("integer_range", 0.0, 0.0),
+                                 b=np.zeros(base.m))
+        rep = solve(inst)
+        opt = brute_force_oracle(inst)
+        assert rep.status == "optimal"
+        assert rep.upper_bound == pytest.approx(opt, abs=1e-9)
+        assert is_feasible(inst, rep.best_point)
+
+    def test_cli_solve_exits_zero(self, tmp_path, capsys):
+        f = tmp_path / "pinned.json"
+        save_instance(pinned_boxqp(), f)
+        assert main(["solve", str(f)]) == 0
+        assert "status        optimal" in capsys.readouterr().out
+
+
 class TestUncertifiedRoot:
     def test_search_continues_to_oracle_optimum(self, monkeypatch):
         # an uncertified root cut loop leaves an infinite lower bound, which
@@ -306,6 +364,19 @@ class TestBoundNode:
         nb = bound_node(inst, node, 0.0, separate=False)
         assert nb.exact
         assert nb.lb == pytest.approx(-1.0, abs=1e-10)
+
+    def test_rows_pin_every_free_coordinate(self):
+        # x2 is fixed by the node box and the two rows pin x0 and x1, so the
+        # node is the one point x_hat and its bound is the objective there
+        inst = make([[0.0, 2.0, 1.0], [2.0, -1.0, 0.0], [1.0, 0.0, -2.0]],
+                    [0.5, -1.0, 0.0], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
+                    [1.2, -0.2], intervals(3))
+        lower, upper = inst.lower.copy(), inst.upper.copy()
+        lower[2] = upper[2] = 0.4
+        sol = solve_qp_child(inst, np.zeros(3), (lower, upper))
+        np.testing.assert_allclose(sol.x, [0.3, 0.5, 0.4], atol=1e-12)
+        assert sol.value == pytest.approx(evaluate_objective(inst, sol.x),
+                                          abs=1e-12)
 
     def test_convex_shortcut(self):
         inst = make(np.diag([2.0, 3.0]), [-2.0, -3.0], None, None,

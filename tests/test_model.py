@@ -162,6 +162,32 @@ def test_separation_names_no_penalty_form():
     assert not names & {"alpha", "A", "Ar"}
 
 
+def test_only_free_set_structure_forms_a_nullspace():
+    # the root gate, the cut pool and every node decide convexity on one
+    # space, the reduction's, so in relax only FreeSetStructure.derive asks
+    # for a nullspace basis
+    path = (pathlib.Path(__file__).resolve().parent.parent / "src"
+            / "quadrelax" / "relax.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    getattr(func, "attr", None)
+                if name == "nullspace_basis":
+                    callers.append(".".join(scope))
+            visit(child, inner)
+
+    visit(tree, ())
+    assert callers == ["FreeSetStructure.derive"]
+
+
 class TestHulls:
     def test_interval_secant_and_square(self):
         inst = make_instance(np.zeros((1, 1)), [0.0],

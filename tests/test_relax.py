@@ -51,6 +51,27 @@ def diag_instance():
                                     None, None, interval_box(2))
 
 
+def flat_instance():
+    return MiqpInstance.from_arrays(np.zeros((2, 2)), np.zeros(2), None,
+                                    None, interval_box(2))
+
+
+def root_pool(inst):
+    return CutPool(ReducedProblem.build(inst, inst.lower, inst.upper))
+
+
+def feasibility_error(sol, inst):
+    """Max violation of Ax=b, box, and hull membership at sol."""
+    err = 0.0
+    if inst.m:
+        err = float(np.abs(inst.A @ sol.x - inst.b).max())
+    for dom, x, y in zip(inst.domains, sol.x, sol.y):
+        u = (dom.L + dom.U) * x - dom.L * dom.U
+        lo = u if dom.two_point else x ** 2
+        err = max(err, dom.L - x, x - dom.U, y - u, lo - y)
+    return float(err)
+
+
 def random_instance(seed, n_lo=3, n_hi=12, kinds=None, max_m=2):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(n_lo, n_hi))
@@ -168,7 +189,7 @@ class TestEigenvalueRelaxation:
     def test_diagonal_anchor(self):
         sol = solve_eigenvalue_relaxation(diag_instance(), 1.0)
         assert abs(sol.value - (-13.0 / 12.0)) <= 1e-9
-        assert sol.feasibility_error(diag_instance()) <= 1e-8
+        assert feasibility_error(sol, diag_instance()) <= 1e-8
 
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -249,17 +270,17 @@ class TestQpChild:
 class TestQcp:
     def test_empty_pool_rejected(self):
         inst = diag_instance()
-        pool = CutPool(Q=inst.Q, basis=nullspace_basis(None, 2))
+        pool = root_pool(inst)
         with pytest.raises(ValueError, match="empty"):
-            assemble_qcp(inst, pool)
+            assemble_qcp(pool)
 
     def test_single_cut_matches_spectral_bound(self):
         for inst in (diag_instance(), saddle_instance()):
             sel = select_alpha(inst)
             d0 = initial_perturbation(inst, sel.alpha)
-            pool = CutPool(Q=inst.Q, basis=nullspace_basis(inst.A, inst.n))
+            pool = root_pool(inst)
             pool.add(d0)
-            qcp = solve_qcp(assemble_qcp(inst, pool))
+            qcp = solve_qcp(assemble_qcp(pool))
             spectral = solve_qp_child(inst, d0, (inst.lower, inst.upper))
             assert abs(qcp.value - spectral.value) <= 1e-6 * max(
                 1.0, abs(spectral.value))
@@ -268,9 +289,9 @@ class TestQcp:
         inst = MiqpInstance.from_arrays(
             np.array([[0.0, 3.0], [3.0, -2.0]]), np.zeros(2), None, None,
             [VariableDomain("binary", 0.0, 1.0)] * 2)
-        pool = CutPool(Q=inst.Q, basis=nullspace_basis(None, 2))
+        pool = root_pool(inst)
         pool.add(initial_perturbation(inst, 0.0))
-        model = assemble_qcp(inst, pool)
+        model = assemble_qcp(pool)
         assert model.sq_idx.size == 0
         assert model.nz == model.red.basis.dim + 1
 
@@ -285,11 +306,11 @@ class TestQcp:
     def test_duplicate_cut_multipliers_sum_consistently(self):
         inst = diag_instance()
         d0 = initial_perturbation(inst, 0.0)
-        pool = CutPool(Q=inst.Q, basis=nullspace_basis(None, 2))
+        pool = root_pool(inst)
         pool.add(d0)
-        single = solve_qcp(assemble_qcp(inst, pool))
+        single = solve_qcp(assemble_qcp(pool))
         pool.add(d0)
-        doubled = solve_qcp(assemble_qcp(inst, pool))
+        doubled = solve_qcp(assemble_qcp(pool))
         assert abs(doubled.value - single.value) <= 1e-7
         assert abs(doubled.cut_multipliers.sum()
                    - single.cut_multipliers.sum()) <= 1e-6
@@ -298,17 +319,29 @@ class TestQcp:
         inst = MiqpInstance.from_arrays(Q_SADDLE, np.zeros(2),
                                         np.array([[1.0, 1.0]]),
                                         np.array([5.0]), interval_box(2))
-        pool = CutPool(Q=inst.Q, basis=nullspace_basis(inst.A, 2))
-        pool.add(np.full(2, 4.0))
+        # the pool's root reduction finds the root empty
         with pytest.raises(InfeasibleRelaxation):
-            assemble_qcp(inst, pool)
+            root_pool(inst)
+
+    def test_all_fixed_pool_solves_to_the_point(self):
+        # point domains leave the root reduction no free variable: the QCP
+        # is v >= x'Qx alone, and its value is the objective at the point
+        inst = MiqpInstance.from_arrays(
+            Q_SADDLE, np.array([1.0, -1.0]), None, None,
+            [VariableDomain("interval", 1.0, 1.0),
+             VariableDomain("interval", 0.5, 0.5)])
+        pool = root_pool(inst)
+        pool.add(np.ones(2))
+        sol = solve_qcp(assemble_qcp(pool))
+        np.testing.assert_array_equal(sol.x, [1.0, 0.5])
+        assert sol.value == pytest.approx(1.75 + 0.5, abs=1e-8)
 
     def test_solution_feasibility_and_kkt(self):
         inst = random_instance(8, kinds=["interval", "integer_range"])
         sel = select_alpha(inst)
         res = cutting_surface(inst, sel.alpha, max_cuts=6)
         sol = res.solution
-        assert sol.feasibility_error(inst) <= 1e-8
+        assert feasibility_error(sol, inst) <= 1e-8
         assert sol.kkt_residual <= 1e-8 * max(1.0, abs(sol.value))
 
 
@@ -330,9 +363,9 @@ class TestIpmContract:
         assert len(calls) == 1 and list(calls[0][3]) == []
 
         calls.clear()
-        pool = CutPool(Q=inst.Q, basis=nullspace_basis(None, 2))
+        pool = root_pool(inst)
         pool.add(d0)
-        solve_qcp(assemble_qcp(inst, pool))
+        solve_qcp(assemble_qcp(pool))
         assert len(calls) == 1
         rows = calls[0][3]
         assert len(rows) > 0 and all(c.P is not None for c in rows)
@@ -357,9 +390,9 @@ class TestCutViolation:
                 if d0 is None:
                     continue
                 assert np.all(d0 > 0.0)
-                pool = CutPool(Q=inst.Q, basis=nullspace_basis(inst.A, inst.n))
+                pool = root_pool(inst)
                 pool.add(d0)
-                qcp = solve_qcp(assemble_qcp(inst, pool))
+                qcp = solve_qcp(assemble_qcp(pool))
                 qp = solve_qp_child(inst, d0, (inst.lower, inst.upper))
                 assert abs(qcp.value - qp.value) <= 1e-8 * max(1.0,
                                                                abs(qp.value))
@@ -435,7 +468,7 @@ class TestNextCut:
 
 class TestSurrogate:
     def test_weighted_average(self):
-        pool = CutPool(Q=np.zeros((2, 2)), basis=nullspace_basis(None, 2))
+        pool = root_pool(flat_instance())
         pool.add(np.zeros(2))
         pool.add(np.full(2, 4.0))
         pool.multipliers = np.array([1.0, 3.0])
@@ -443,7 +476,7 @@ class TestSurrogate:
                                    np.full(2, 3.0), atol=1e-12)
 
     def test_degenerate_multipliers_take_largest(self):
-        pool = CutPool(Q=np.zeros((2, 2)), basis=nullspace_basis(None, 2))
+        pool = root_pool(flat_instance())
         pool.add(np.full(2, 1.0))
         pool.add(np.full(2, 7.0))
         pool.multipliers = np.array([1e-14, 5e-14])
@@ -451,14 +484,14 @@ class TestSurrogate:
                                    np.full(2, 7.0))
 
     def test_no_multipliers_take_first(self):
-        pool = CutPool(Q=np.zeros((2, 2)), basis=nullspace_basis(None, 2))
+        pool = root_pool(flat_instance())
         pool.add(np.full(2, 2.0))
         pool.add(np.full(2, 9.0))
         np.testing.assert_allclose(surrogate_root_perturbation(pool),
                                    np.full(2, 2.0))
 
     def test_empty_pool_rejected(self):
-        pool = CutPool(Q=np.zeros((2, 2)), basis=nullspace_basis(None, 2))
+        pool = root_pool(flat_instance())
         with pytest.raises(ValueError, match="empty"):
             surrogate_root_perturbation(pool)
 
